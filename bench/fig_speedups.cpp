@@ -5,6 +5,13 @@
 // system vs predicated system. Expected shape: base stays near 1 (its
 // parallel loops have low coverage in these programs) while the
 // predicated system scales with the thread count.
+//
+// Each configuration runs 3 times and reports its best wall-clock and
+// best simulated-makespan speedup side by side. Wall time is the
+// headline wherever P <= the host's cores; the simulated makespan stands
+// in only where P exceeds them (see InterpStats::simulated_seconds).
+#include <algorithm>
+#include <chrono>
 #include <thread>
 
 #include "bench_util.h"
@@ -15,16 +22,30 @@ using namespace padfa::bench;
 
 namespace {
 
-double timeRun(const CompiledProgram& cp, const AnalysisResult* plans,
-               unsigned threads) {
-  InterpOptions opt;
-  opt.plans = plans;
-  opt.num_threads = threads;
-  InterpStats s = execute(*cp.program, opt);
-  // Simulated P-processor time: equals wall time when >= P cores are
-  // free; models the paper's multiprocessor when the host has fewer
-  // cores (see InterpStats::simulated_seconds).
-  return s.simulated_seconds;
+constexpr int kReps = 3;
+
+struct Best {
+  double wall = 0;
+  double sim = 0;
+};
+
+Best bestOf(const CompiledProgram& cp, const AnalysisResult* plans,
+            unsigned threads) {
+  Best best;
+  for (int rep = 0; rep < kReps; ++rep) {
+    InterpOptions opt;
+    opt.plans = plans;
+    opt.num_threads = threads;
+    auto t0 = std::chrono::steady_clock::now();
+    InterpStats s = execute(*cp.program, opt);
+    double wall = std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - t0)
+                      .count();
+    if (rep == 0 || wall < best.wall) best.wall = wall;
+    if (rep == 0 || s.simulated_seconds < best.sim)
+      best.sim = s.simulated_seconds;
+  }
+  return best;
 }
 
 }  // namespace
@@ -32,30 +53,52 @@ double timeRun(const CompiledProgram& cp, const AnalysisResult* plans,
 int main(int argc, char** argv) {
   int scale = 8;
   if (argc > 1) scale = std::atoi(argv[1]);
-  unsigned hw = std::thread::hardware_concurrency();
-  std::vector<unsigned> threads = {1, 2, 4, 8};
-  std::printf("Figure: speedups, base vs predicated (scale %d, %u hw "
-              "threads)\n\n",
-              scale, hw);
-  TextTable table({"program", "seq (s)", "base x1", "base x2", "base x4",
-                   "base x8", "pred x1", "pred x2", "pred x4", "pred x8"});
+  unsigned cores = std::max(1u, std::thread::hardware_concurrency());
+  const unsigned threads[] = {1, 2, 4, 8};
+  std::printf("Figure: speedups, base vs predicated (scale %d, best of %d, "
+              "host cores: %u)\n\n",
+              scale, kReps, cores);
+  std::vector<std::string> header = {"program", "system", "seq (ms)"};
+  for (unsigned t : threads) {
+    char col[32];
+    std::snprintf(col, sizeof(col), "x%u wall", t);
+    header.push_back(col);
+    std::snprintf(col, sizeof(col), "x%u sim", t);
+    header.push_back(col);
+  }
+  TextTable table(header);
   for (const auto& e : corpus()) {
     if (!e.speedup_expected) continue;
     CompiledProgram cp = compileOrDie(e, scale);
-    double seq = timeRun(cp, nullptr, 1);
-    std::vector<std::string> row = {e.name, fmtDouble(seq, 3)};
+    Best seq = bestOf(cp, nullptr, 1);
     for (const AnalysisResult* plans : {&cp.base, &cp.pred}) {
+      std::vector<std::string> row = {e.name,
+                                      plans == &cp.base ? "base" : "pred",
+                                      fmtDouble(1e3 * seq.wall, 2)};
       for (unsigned t : threads) {
-        double s = timeRun(cp, plans, t);
-        row.push_back(fmtDouble(seq / s, 2));
+        Best b = bestOf(cp, plans, t);
+        std::string wall = fmtDouble(seq.wall / b.wall, 2);
+        std::string sim = fmtDouble(seq.sim / b.sim, 2);
+        // The headline is wall time on a host with enough cores, the
+        // simulated makespan (starred) where P exceeds them.
+        if (t > cores) {
+          wall.insert(wall.begin(), '(');
+          wall.push_back(')');
+          sim.push_back('*');
+        }
+        row.push_back(wall);
+        row.push_back(sim);
       }
+      table.addRow(row);
     }
-    table.addRow(row);
   }
   std::printf("%s\n", table.render().c_str());
-  std::printf("values are speedups relative to the sequential run "
-              "(simulated P-processor makespans; exact wall time when the "
-              "host has >= P free cores). The paper reports improved "
-              "speedups for 5 programs, with the base system flat.\n");
+  std::printf("values are speedups relative to the sequential run. Headline: "
+              "wall time where P <= %u host cores; where P > %u the "
+              "simulated P-processor makespan (*) stands in, and the "
+              "oversubscribed wall time is shown in parentheses. The paper "
+              "reports improved speedups for 5 programs, with the base "
+              "system flat.\n",
+              cores, cores);
   return 0;
 }

@@ -193,6 +193,13 @@ int run(const CompiledProgram& cp, unsigned threads) {
                 static_cast<unsigned long long>(s.parallel_loops_entered),
                 static_cast<unsigned long long>(s.runtime_tests_evaluated),
                 static_cast<unsigned long long>(s.runtime_tests_passed));
+    std::printf("  run inline        : %llu (below the granularity grain)\n",
+                static_cast<unsigned long long>(s.parallel_loops_inlined));
+    std::printf("parallel wall       : %.3f ms prologue, %.3f ms region, "
+                "%.3f ms epilogue\n",
+                1e3 * s.parallel_prologue_seconds,
+                1e3 * s.parallel_region_seconds,
+                1e3 * s.parallel_epilogue_seconds);
   }
   return 0;
 }

@@ -9,6 +9,7 @@
 #include <mutex>
 #include <set>
 #include <thread>
+#include <unordered_map>
 
 #include "audit/race_oracle.h"
 #include "dataflow/doacross.h"
@@ -102,6 +103,69 @@ double threadCpuSecondsNow() {
   return static_cast<double>(ts.tv_sec) +
          1e-9 * static_cast<double>(ts.tv_nsec);
 }
+
+using Clock = std::chrono::steady_clock;
+
+double seconds(Clock::duration d) {
+  return std::chrono::duration<double>(d).count();
+}
+
+/// One region's block decomposition (see runtime/scheduler.h): it alone
+/// fixes every computed value, whichever path runs the blocks.
+struct Blocks {
+  LoopRange range;
+  uint64_t trip = 0;
+  int64_t chunk = 1;
+  uint64_t count = 0;
+
+  Blocks(const LoopRange& r, int64_t c)
+      : range(r), trip(loopTripCount(r)), chunk(c),
+        count(blockCount(trip, c)) {}
+};
+
+/// One block's partial value of one scalar reduction.
+struct RedPart {
+  int64_t i;
+  double r;
+};
+
+/// A plan's scalar reduction flattened for the per-block hot path: the
+/// scalar's frame slot, its identity, and how partials fold.
+struct RedSlot {
+  size_t id = 0;
+  RedPart identity{0, 0};
+  ReductionOp op = ReductionOp::Sum;
+  bool is_int = false;
+};
+
+/// Measured cost per iteration of one planned loop on its earlier entries
+/// in this execute: the whole region's wall time over trip when inline;
+/// when pooled, the wall time per iteration of the first block any worker
+/// starts (worker busy totals would charge scheduling and idle scanning
+/// to the loop, and a thread-CPU clock read costs more than a small
+/// block). Timing noise (preemption, a cold cache) only ever inflates a
+/// sample, so the estimate drops to a cheaper sample at once and moves a
+/// quarter of the way toward a dearer one: one preempted entry costs at
+/// most one needless pool dispatch, while a loop that really grows still
+/// reaches the pool within a few entries.
+struct LoopCost {
+  double per_iter = 0;
+  bool measured = false;
+
+  void record(double m) {
+    if (!measured || m < per_iter)
+      per_iter = m;
+    else
+      per_iter += 0.25 * (m - per_iter);
+    measured = true;
+  }
+};
+
+/// SUIF's run-time granularity test: a region whose expected cost (cost
+/// per iteration on earlier entries × trip) is below this grain runs
+/// inline, since a pool dispatch and barrier would cost more than the
+/// workers save.
+constexpr double kGrainSeconds = 50e-6;
 
 /// Per-worker state of an active Doacross region, installed in t_doa
 /// while the worker executes loop-body statements.
@@ -524,7 +588,8 @@ class Interp {
         plan = nullptr;
     }
 
-    auto t0 = std::chrono::steady_clock::now();
+    // Profiling only: a clock read costs as much as a small loop body.
+    Clock::time_point t0 = opt_.profile ? Clock::now() : Clock::time_point{};
     bool returned = false;
     uint64_t iters = 0;
 
@@ -573,11 +638,11 @@ class Interp {
     // Profiling is skipped inside parallel regions (stats_ would race);
     // coverage/granularity numbers come from sequential profiled runs.
     if (opt_.profile && !in_parallel_) {
-      auto t1 = std::chrono::steady_clock::now();
+      auto t1 = Clock::now();
       LoopProfile& prof = stats_.profiles[&loop];
       ++prof.invocations;
       prof.iterations += iters;
-      double wall = std::chrono::duration<double>(t1 - t0).count();
+      double wall = seconds(t1 - t0);
       prof.seconds += wall;
       prof.simulated_seconds += region_sim >= 0 ? region_sim : wall;
     }
@@ -668,57 +733,182 @@ class Interp {
     return returned;
   }
 
-  static double threadCpuSeconds() { return threadCpuSecondsNow(); }
+  /// Refill a reused private buffer: a copy of the shared buffer
+  /// (copy-in) or `n` zeros.
+  template <class E>
+  static void refillPrivate(std::shared_ptr<std::vector<E>>& buf,
+                            const std::vector<E>& shared, bool copy_in,
+                            size_t n) {
+    if (!buf) buf = std::make_shared<std::vector<E>>();
+    if (copy_in)
+      buf->assign(shared.begin(), shared.end());
+    else
+      buf->assign(n, E{});
+  }
 
-  /// Prepare the per-worker shallow frames (plus one dedicated frame for
-  /// the final block, which owns copy-out) with fresh privatized array
-  /// copies. Returns T+1 frames; index T is the final-block frame.
-  std::vector<Frame> makeWorkerFrames(const LoopPlan& plan, Frame& frame,
-                                      unsigned T) {
-    std::vector<Frame> frames(T + 1);
-    for (auto& f : frames) f = frame;  // shallow copy (shared arrays alias)
-    for (const auto& pa : plan.privatized) {
-      const Cell& shared = frame[pa.array->local_id];
-      for (auto& f : frames) {
-        auto priv = std::make_shared<ArrayStorage>();
-        priv->elem = shared.array->elem;
-        priv->dims = shared.array->dims;
-        if (shared.array->elem == Type::Real) {
-          priv->reals = std::make_shared<std::vector<double>>(
-              pa.copy_in ? *shared.array->reals
-                         : std::vector<double>(shared.array->size(), 0.0));
-        } else {
-          priv->ints = std::make_shared<std::vector<int64_t>>(
-              pa.copy_in ? *shared.array->ints
-                         : std::vector<int64_t>(shared.array->size(), 0));
-        }
-        f[pa.array->local_id].array = std::move(priv);
+  /// The prologue of one region: flatten the plan's reductions, size the
+  /// per-block partials, and prepare the frame slots — slot T (the final
+  /// block's frame, which owns copy-out) always, and slots 0..workers-1
+  /// (one per worker) when there is more than one block. Each slot is a
+  /// shallow copy of `frame` (shared arrays alias) whose privatized arrays
+  /// get fresh zero or copy-in state. All of it persists across entries
+  /// and is re-assigned, not re-allocated.
+  void prepareFrames(const LoopPlan& plan, const Frame& frame,
+                     unsigned workers, uint64_t nblocks) {
+    red_slots_.clear();
+    for (const auto& red : plan.reductions)
+      red_slots_.push_back({red.scalar->local_id, reductionIdentity(red.op),
+                            red.op, red.scalar->elem_type == Type::Int});
+    partials_.resize(nblocks * red_slots_.size());
+    unsigned T = pool_->size();
+    if (frames_.size() != T + 1) {
+      frames_.resize(T + 1);
+      privates_.resize(T + 1);
+    }
+    auto prepare = [&](unsigned s) {
+      Frame& f = frames_[s];
+      f = frame;
+      auto& privs = privates_[s];
+      if (privs.size() < plan.privatized.size())
+        privs.resize(plan.privatized.size());
+      for (size_t k = 0; k < plan.privatized.size(); ++k) {
+        const auto& pa = plan.privatized[k];
+        const ArrayStorage& shared = *frame[pa.array->local_id].array;
+        if (!privs[k]) privs[k] = std::make_shared<ArrayStorage>();
+        ArrayStorage& priv = *privs[k];
+        priv.elem = shared.elem;
+        priv.dims = shared.dims;
+        if (shared.elem == Type::Real)
+          refillPrivate(priv.reals, *shared.reals, pa.copy_in, shared.size());
+        else
+          refillPrivate(priv.ints, *shared.ints, pa.copy_in, shared.size());
+        f[pa.array->local_id].array = privs[k];
       }
-    }
-    return frames;
+    };
+    if (nblocks > 1)
+      for (unsigned t = 0; t < workers; ++t) prepare(t);
+    prepare(T);
   }
 
-  static void setReductionIdentity(const ScalarReduction& red, Cell& c) {
-    switch (red.op) {
+  /// The one block walker, shared by the pooled and inline paths of DOALL
+  /// and Doacross regions. Runs blocks [b0, b1) of `blocks` on frame `tf`,
+  /// in order. Per block, reduction scalars start at their identity, the
+  /// block's iterations run (`iterate(ordinal)` runs the body of one and
+  /// returns false to abandon the run), and the block's reduction
+  /// partials land in partials_ at the block's index.
+  template <class Iterate>
+  void walkBlocks(const ForStmt& loop, Frame& tf, const Blocks& blocks,
+                  uint64_t b0, uint64_t b1, Iterate&& iterate) {
+    size_t nred = red_slots_.size();
+    uint64_t c = static_cast<uint64_t>(blocks.chunk);
+    int64_t step = blocks.range.step;
+    Cell& index = tf[loop.index_decl->local_id];
+    uint64_t o = b0 * c;
+    // lo + o*step in wrapping uint64 arithmetic, as blockAt computes it.
+    int64_t i = static_cast<int64_t>(static_cast<uint64_t>(blocks.range.lo) +
+                                     o * static_cast<uint64_t>(step));
+    for (uint64_t b = b0; b < b1; ++b) {
+      for (const RedSlot& rs : red_slots_) {
+        tf[rs.id].i = rs.identity.i;
+        tf[rs.id].r = rs.identity.r;
+      }
+      for (uint64_t end = std::min(blocks.trip, o + c); o < end;
+           ++o, i += step) {
+        index.i = i;
+        if (!iterate(static_cast<int64_t>(o))) return;
+      }
+      RedPart* out = partials_.data() + b * nred;
+      for (size_t r = 0; r < nred; ++r)
+        out[r] = {tf[red_slots_[r].id].i, tf[red_slots_[r].id].r};
+    }
+  }
+
+  /// Fold the per-block reduction partials into the shared scalars in
+  /// ascending block order: the grouping depends only on the block
+  /// decomposition, so sums are bit-identical across policies, threads,
+  /// and inline or pooled execution.
+  void combinePartials(Frame& frame, uint64_t nblocks) {
+    size_t nred = red_slots_.size();
+    for (size_t r = 0; r < nred; ++r) {
+      const RedSlot& rs = red_slots_[r];
+      Cell& shared = frame[rs.id];
+      for (uint64_t b = 0; b < nblocks; ++b)
+        applyReduction(rs.op, rs.is_int, shared, partials_[b * nred + r]);
+    }
+  }
+
+  /// Run every block of a region on the calling thread, in ascending
+  /// order: the last block on the final frame (slot T), the others on
+  /// slot 0. That is the block decomposition and frame roles of a pooled
+  /// run, so with the same combine the results are bit-identical to it.
+  void walkInline(const ForStmt& loop, const Blocks& blocks) {
+    auto run = [&](Frame& tf, uint64_t b0, uint64_t b1) {
+      walkBlocks(loop, tf, blocks, b0, b1, [&](int64_t) {
+        execBlock(*loop.body, tf);
+        return true;
+      });
+    };
+    if (blocks.count > 1) run(frames_[0], 0, blocks.count - 1);
+    run(frames_[pool_->size()], blocks.count - 1, blocks.count);
+  }
+
+  /// Run a whole region inline on the calling thread, entered at `t0`:
+  /// prologue, every block, combine and copy-out. Returns its simulated
+  /// cost, which is its wall time.
+  double execInline(const ForStmt& loop, const LoopPlan& plan, Frame& frame,
+                    const Blocks& blocks, Clock::time_point t0) {
+    prepareFrames(plan, frame, 1, blocks.count);
+    auto t1 = Clock::now();
+    bool prev_in_parallel = in_parallel_;
+    in_parallel_ = true;
+    walkInline(loop, blocks);
+    in_parallel_ = prev_in_parallel;
+    auto t2 = Clock::now();
+    combinePartials(frame, blocks.count);
+    copyOutFrom(plan, frame, frames_[pool_->size()]);
+    auto t3 = Clock::now();
+    return bookRegion(t0, t1, t2, t3, seconds(t2 - t1));
+  }
+
+  /// Book one region's wall time as prologue [t0, t1), region [t1, t2)
+  /// and epilogue [t2, t3). Returns its simulated cost: the serial
+  /// prologue and epilogue at wall time plus `region_model`.
+  double bookRegion(Clock::time_point t0, Clock::time_point t1,
+                    Clock::time_point t2, Clock::time_point t3,
+                    double region_model) {
+    double prologue = seconds(t1 - t0);
+    double region = seconds(t2 - t1);
+    double epilogue = seconds(t3 - t2);
+    stats_.parallel_prologue_seconds += prologue;
+    stats_.parallel_region_seconds += region;
+    stats_.parallel_epilogue_seconds += epilogue;
+    parallel_wall_ += prologue + region + epilogue;
+    double sim = prologue + region_model + epilogue;
+    parallel_simulated_ += sim;
+    return sim;
+  }
+
+  static RedPart reductionIdentity(ReductionOp op) {
+    switch (op) {
       case ReductionOp::Sum:
-        c.i = 0; c.r = 0; break;
+        return {0, 0};
       case ReductionOp::Prod:
-        c.i = 1; c.r = 1; break;
+        return {1, 1};
       case ReductionOp::Min:
-        c.i = std::numeric_limits<int64_t>::max();
-        c.r = std::numeric_limits<double>::infinity();
-        break;
+        return {std::numeric_limits<int64_t>::max(),
+                std::numeric_limits<double>::infinity()};
       case ReductionOp::Max:
-        c.i = std::numeric_limits<int64_t>::min();
-        c.r = -std::numeric_limits<double>::infinity();
-        break;
+        return {std::numeric_limits<int64_t>::min(),
+                -std::numeric_limits<double>::infinity()};
     }
+    return {0, 0};
   }
 
-  static void applyReduction(const ScalarReduction& red, Cell& into,
-                             int64_t i, double r) {
-    bool is_int = red.scalar->elem_type == Type::Int;
-    switch (red.op) {
+  static void applyReduction(ReductionOp op, bool is_int, Cell& into,
+                             const RedPart& part) {
+    int64_t i = part.i;
+    double r = part.r;
+    switch (op) {
       case ReductionOp::Sum:
         if (is_int) into.i += i; else into.r += r;
         break;
@@ -755,78 +945,73 @@ class Interp {
       frame[sc->local_id] = lf[sc->local_id];
   }
 
-  /// DOALL execution over the block scheduler. Returns the simulated
-  /// P-processor cost of this region (serial prologue/epilogue at wall
-  /// time, parallel region at max-over-workers busy time).
+  /// DOALL execution over the block scheduler, or inline on the calling
+  /// thread when T = 1 or the granularity test says the region is too
+  /// small to pay for a dispatch. Returns the simulated P-processor cost
+  /// of this region (serial prologue/epilogue at wall time, a pooled
+  /// region at max-over-workers busy time, an inline one at wall time).
   double execForParallel(const ForStmt& loop, const LoopPlan& plan,
                          Frame& frame, int64_t lb, int64_t ub,
                          int64_t step) {
-    auto wall0 = std::chrono::steady_clock::now();
+    auto t0 = Clock::now();
     unsigned T = pool_->size();
     LoopRange range{lb, ub, step};
-    uint64_t trip = loopTripCount(range);
-    int64_t chunk = resolveChunk(trip, opt_.chunk);
-    uint64_t nblocks = blockCount(trip, chunk);
+    const Blocks blocks(range, resolveChunk(loopTripCount(range), opt_.chunk));
+    uint64_t nblocks = blocks.count;
 
-    std::vector<Frame> frames = makeWorkerFrames(plan, frame, T);
+    // SUIF's run-time granularity test, on the cost per iteration this
+    // loop showed on its earlier entries. The first entry always goes
+    // to the pool, so a coarse loop entered once is never serialized.
+    LoopCost& cost = loop_cost_[&loop];
+    double trip = static_cast<double>(blocks.trip);
+    if (T == 1 || (cost.measured && cost.per_iter * trip < kGrainSeconds)) {
+      ++stats_.parallel_loops_inlined;
+      double sim = execInline(loop, plan, frame, blocks, t0);
+      cost.record(sim / trip);
+      return sim;
+    }
 
-    // Per-block reduction partials, combined in ascending block order
-    // after the barrier: the grouping depends only on the block
-    // decomposition, so sums are bit-identical across policies/threads.
-    struct RedPart {
-      int64_t i;
-      double r;
-    };
-    std::vector<std::vector<RedPart>> partials(plan.reductions.size());
-    for (auto& v : partials) v.resize(nblocks);
-
-    auto region0 = std::chrono::steady_clock::now();
-    std::vector<double> busy(T, 0.0);
+    prepareFrames(plan, frame, T, nblocks);
+    busy_.assign(T, 0.0);
+    // The cost sample: written by the one worker that claims it, read by
+    // the dispatching thread after the barrier.
+    std::atomic<bool> sample_claimed{false};
+    double sample = -1;
+    auto t1 = Clock::now();
     bool prev_in_parallel = in_parallel_;
     in_parallel_ = true;
-    runBlocks(*pool_, range, chunk, opt_.sched,
-              [&](unsigned t, const LoopBlock& blk) {
-                double cpu0 = threadCpuSeconds();
-                Frame& tf = frames[blk.index == nblocks - 1 ? T : t];
-                for (size_t r = 0; r < plan.reductions.size(); ++r)
-                  setReductionIdentity(
-                      plan.reductions[r],
-                      tf[plan.reductions[r].scalar->local_id]);
-                int64_t i = blk.first;
-                for (uint64_t k = 0; k < blk.iters; ++k, i += step) {
-                  // Cooperative cancellation: a sibling faulted; the
-                  // barrier rethrows its error anyway.
-                  if (pool_->cancelRequested()) break;
-                  tf[loop.index_decl->local_id].i = i;
-                  execBlock(*loop.body, tf);
-                }
-                for (size_t r = 0; r < plan.reductions.size(); ++r) {
-                  const Cell& c = tf[plan.reductions[r].scalar->local_id];
-                  partials[r][blk.index] = {c.i, c.r};
-                }
-                busy[t] += threadCpuSeconds() - cpu0;
-              });
+    runBlocks(
+        *pool_, range, blocks.chunk, opt_.sched,
+        [&](unsigned t, const LoopBlock& blk) {
+          Frame& tf = frames_[blk.index == nblocks - 1 ? T : t];
+          bool sampling =
+              !sample_claimed.load(std::memory_order_relaxed) &&
+              !sample_claimed.exchange(true, std::memory_order_relaxed);
+          Clock::time_point s0 = sampling ? Clock::now() : Clock::time_point{};
+          walkBlocks(loop, tf, blocks, blk.index, blk.index + 1, [&](int64_t) {
+            // Cooperative cancellation: a sibling faulted; the barrier
+            // rethrows its error anyway.
+            if (pool_->cancelRequested()) return false;
+            execBlock(*loop.body, tf);
+            return true;
+          });
+          if (sampling)
+            sample =
+                seconds(Clock::now() - s0) / static_cast<double>(blk.iters);
+        },
+        {[&](unsigned t) { busy_[t] = -threadCpuSecondsNow(); },
+         [&](unsigned t) { busy_[t] += threadCpuSecondsNow(); }});
     in_parallel_ = prev_in_parallel;
-    auto region1 = std::chrono::steady_clock::now();
+    auto t2 = Clock::now();
 
-    for (size_t r = 0; r < plan.reductions.size(); ++r) {
-      Cell& shared = frame[plan.reductions[r].scalar->local_id];
-      for (uint64_t b = 0; b < nblocks; ++b)
-        applyReduction(plan.reductions[r], shared, partials[r][b].i,
-                       partials[r][b].r);
-    }
-    if (nblocks > 0) copyOutFrom(plan, frame, frames[T]);
+    combinePartials(frame, nblocks);
+    copyOutFrom(plan, frame, frames_[T]);
+    auto t3 = Clock::now();
 
-    auto wall1 = std::chrono::steady_clock::now();
-    double wall = std::chrono::duration<double>(wall1 - wall0).count();
-    double region_wall =
-        std::chrono::duration<double>(region1 - region0).count();
+    if (sample >= 0) cost.record(sample);
     double max_busy = 0;
-    for (double b : busy) max_busy = std::max(max_busy, b);
-    parallel_wall_ += wall;
-    double sim = (wall - region_wall) + max_busy;
-    parallel_simulated_ += sim;
-    return sim;
+    for (double b : busy_) max_busy = std::max(max_busy, b);
+    return bookRegion(t0, t1, t2, t3, max_busy);
   }
 
   /// Post/wait tables for one Doacross plan (built once, single-threaded
@@ -908,14 +1093,20 @@ class Interp {
   double execForDoacross(const ForStmt& loop, const LoopPlan& plan,
                          Frame& frame, int64_t lb, int64_t ub,
                          int64_t step) {
-    auto wall0 = std::chrono::steady_clock::now();
+    auto t0 = Clock::now();
     unsigned T = pool_->size();
     LoopRange range{lb, ub, step};
-    uint64_t trip = loopTripCount(range);
     // Fine-grained blocks by default: pipelining wants the smallest
     // grain that amortizes dispatch.
-    int64_t chunk = opt_.chunk >= 1 ? opt_.chunk : 1;
-    uint64_t nblocks = blockCount(trip, chunk);
+    const Blocks blocks(range, opt_.chunk >= 1 ? opt_.chunk : 1);
+    uint64_t trip = blocks.trip;
+    int64_t chunk = blocks.chunk;
+    uint64_t nblocks = blocks.count;
+
+    // One worker runs the ordinals in order, which satisfies every wait:
+    // no ring, window gate, trace or per-iteration clock reads.
+    if (T == 1) return execInline(loop, plan, frame, blocks, t0);
+
     int64_t ring = std::max<int64_t>(2, opt_.doacross_window);
 
     const DoaTables& tables = doaTablesFor(plan);
@@ -935,107 +1126,81 @@ class Interp {
     bool recording = trip <= kSimCap;
     std::vector<DoaIterRec> recs(recording ? trip : 0);
 
-    std::vector<Frame> frames = makeWorkerFrames(plan, frame, T);
-    std::vector<double> busy(T, 0.0);
+    prepareFrames(plan, frame, T, nblocks);
+    busy_.assign(T, 0.0);
     std::atomic<uint64_t> waits_total{0};
-
     // Reductions recognized by the scalar phase before the array phase
-    // fell back: same per-block partials + block-order combine as DOALL.
-    struct RedPart {
-      int64_t i;
-      double r;
-    };
-    std::vector<std::vector<RedPart>> partials(plan.reductions.size());
-    for (auto& v : partials) v.resize(nblocks);
+    // fell back take the same per-block partials and block-order combine
+    // as DOALL.
 
-    auto region0 = std::chrono::steady_clock::now();
+    auto t1 = Clock::now();
     bool prev_in_parallel = in_parallel_;
     in_parallel_ = true;
     runBlocks(*pool_, range, chunk, opt_.sched,
               [&](unsigned t, const LoopBlock& blk) {
-                Frame& tf = frames[blk.index == nblocks - 1 ? T : t];
+                Frame& tf = frames_[blk.index == nblocks - 1 ? T : t];
                 DoaCtx ctx;
                 ctx.tables = &tables;
                 ctx.cells = cells.data();
                 ctx.ring = ring;
                 ctx.pool = pool_.get();
                 DoaScope scope(&ctx);
-                for (size_t r = 0; r < plan.reductions.size(); ++r)
-                  setReductionIdentity(
-                      plan.reductions[r],
-                      tf[plan.reductions[r].scalar->local_id]);
                 double block_busy = 0;
-                try {
-                  int64_t i = blk.first;
-                  for (uint64_t k = 0; k < blk.iters; ++k, i += step) {
-                    int64_t o = blk.first_ordinal + static_cast<int64_t>(k);
-                    // Window gate: wait for iteration o - ring (same
-                    // ring cell, previous lap) to fully complete.
-                    if (o >= ring) {
-                      DoaCell& gate = cells[o % ring];
-                      while (gate.done.load(std::memory_order_acquire) <
-                             o - ring) {
-                        if (pool_->cancelRequested()) throw DoaCancel{};
-                        std::this_thread::yield();
-                      }
+                auto iterate = [&](int64_t o) {
+                  // Window gate: wait for iteration o - ring (same ring
+                  // cell, previous lap) to fully complete.
+                  if (o >= ring) {
+                    DoaCell& gate = cells[o % ring];
+                    while (gate.done.load(std::memory_order_acquire) <
+                           o - ring) {
+                      if (pool_->cancelRequested()) throw DoaCancel{};
+                      std::this_thread::yield();
                     }
-                    ctx.ordinal = o;
-                    ctx.rec = recording ? &recs[static_cast<uint64_t>(o)]
-                                        : nullptr;
-                    ctx.cpu_base = threadCpuSeconds();
-                    ctx.spin_cpu = 0;
-                    tf[loop.index_decl->local_id].i = i;
-                    execBlock(*loop.body, tf);
-                    double busy_it = ctx.busyNow();
-                    if (ctx.rec) ctx.rec->busy = busy_it;
-                    block_busy += busy_it;
-                    // End of iteration: backstop-post every slot (covers
-                    // skipped conditional sources and inner-loop
-                    // sources), then publish completion.
-                    DoaCell& cell = cells[o % ring];
-                    for (size_t s = 0; s < nslots; ++s)
-                      cell.posted[s].store(o, std::memory_order_release);
-                    cell.done.store(o, std::memory_order_release);
                   }
+                  ctx.ordinal = o;
+                  ctx.rec =
+                      recording ? &recs[static_cast<uint64_t>(o)] : nullptr;
+                  ctx.cpu_base = threadCpuSecondsNow();
+                  ctx.spin_cpu = 0;
+                  execBlock(*loop.body, tf);
+                  double busy_it = ctx.busyNow();
+                  if (ctx.rec) ctx.rec->busy = busy_it;
+                  block_busy += busy_it;
+                  // End of iteration: backstop-post every slot (covers
+                  // skipped conditional sources and inner-loop sources),
+                  // then publish completion.
+                  DoaCell& cell = cells[o % ring];
+                  for (size_t s = 0; s < nslots; ++s)
+                    cell.posted[s].store(o, std::memory_order_release);
+                  cell.done.store(o, std::memory_order_release);
+                  return true;
+                };
+                try {
+                  walkBlocks(loop, tf, blocks, blk.index, blk.index + 1,
+                             iterate);
                 } catch (const DoaCancel&) {
                 }
-                for (size_t r = 0; r < plan.reductions.size(); ++r) {
-                  const Cell& c = tf[plan.reductions[r].scalar->local_id];
-                  partials[r][blk.index] = {c.i, c.r};
-                }
-                busy[t] += block_busy;
+                busy_[t] += block_busy;
                 waits_total.fetch_add(ctx.wait_count,
                                       std::memory_order_relaxed);
               });
     in_parallel_ = prev_in_parallel;
-    auto region1 = std::chrono::steady_clock::now();
+    auto t2 = Clock::now();
 
-    for (size_t r = 0; r < plan.reductions.size(); ++r) {
-      Cell& shared = frame[plan.reductions[r].scalar->local_id];
-      for (uint64_t b = 0; b < nblocks; ++b)
-        applyReduction(plan.reductions[r], shared, partials[r][b].i,
-                       partials[r][b].r);
-    }
-    if (nblocks > 0) copyOutFrom(plan, frame, frames[T]);
+    combinePartials(frame, nblocks);
+    copyOutFrom(plan, frame, frames_[T]);
     stats_.doacross_waits += waits_total.load(std::memory_order_relaxed);
+    auto t3 = Clock::now();
 
-    auto wall1 = std::chrono::steady_clock::now();
-    double wall = std::chrono::duration<double>(wall1 - wall0).count();
-    double region_wall =
-        std::chrono::duration<double>(region1 - region0).count();
     double region_model;
     if (recording && !pool_->cancelRequested()) {
       region_model = doaSimulate(recs, T, ring, std::max<size_t>(nslots, 1),
                                  chunk, nblocks);
     } else {
-      double max_busy = 0;
-      for (double b : busy) max_busy = std::max(max_busy, b);
-      region_model = max_busy;
+      region_model = 0;
+      for (double b : busy_) region_model = std::max(region_model, b);
     }
-    parallel_wall_ += wall;
-    double sim = (wall - region_wall) + region_model;
-    parallel_simulated_ += sim;
-    return sim;
+    return bookRegion(t0, t1, t2, t3, region_model);
   }
 
   const Program& program_;
@@ -1043,6 +1208,17 @@ class Interp {
   InterpStats stats_;
   std::unique_ptr<ThreadPool> pool_;
   std::map<const LoopPlan*, DoaTables> doa_tables_;
+  // Region state reused across entries (see prepareFrames): frame slots
+  // 0..T-1 per worker plus slot T for the final block, their private
+  // buffers (privates_[slot][k] backs plan.privatized[k]), per-block
+  // reduction partials (block-major) and per-worker busy time.
+  std::vector<Frame> frames_;
+  std::vector<std::vector<std::shared_ptr<ArrayStorage>>> privates_;
+  std::vector<RedSlot> red_slots_;
+  std::vector<RedPart> partials_;
+  std::vector<double> busy_;
+  /// Granularity state, read and written only on the dispatching thread.
+  std::unordered_map<const ForStmt*, LoopCost> loop_cost_;
   std::mutex sink_mu_;
   bool in_parallel_ = false;
   bool elpd_active_ = false;

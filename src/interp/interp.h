@@ -5,7 +5,10 @@
 //  * sequential         — reference semantics;
 //  * parallel           — consumes an AnalysisResult: loops planned
 //                         Parallel run across a thread pool (one level of
-//                         parallelism, like SUIF); RuntimeTest loops
+//                         parallelism, like SUIF), or inline on the
+//                         calling thread at one thread or when their
+//                         measured cost is below the run-time
+//                         granularity grain; RuntimeTest loops
 //                         evaluate their predicate at entry and dispatch
 //                         to the parallel or sequential version
 //                         (two-version loops); privatization, reductions
@@ -89,7 +92,19 @@ struct LoopProfile {
 struct InterpStats {
   double checksum = 0;            // accumulated by sink()
   uint64_t sink_count = 0;
+  /// DOALL plan dispatches, whether pooled or inline.
   uint64_t parallel_loops_entered = 0;
+  /// The subset of parallel_loops_entered that ran inline on the
+  /// dispatching thread: every entry at 1 thread, and entries whose
+  /// expected cost (cost per iteration measured on the loop's earlier
+  /// entries × trip) fell below the granularity grain.
+  uint64_t parallel_loops_inlined = 0;
+  /// Wall time of all parallel (DOALL and Doacross) regions, split into
+  /// the serial prologue (worker frames, private buffers), the region
+  /// itself, and the serial epilogue (reduction combine, copy-out).
+  double parallel_prologue_seconds = 0;
+  double parallel_region_seconds = 0;
+  double parallel_epilogue_seconds = 0;
   uint64_t runtime_tests_evaluated = 0;
   uint64_t runtime_tests_passed = 0;
   /// Tests whose evaluation itself faulted (e.g. division by zero in an

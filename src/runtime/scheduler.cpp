@@ -110,11 +110,19 @@ struct StealDeque {
 
 void runBlocks(ThreadPool& pool, const LoopRange& r, int64_t chunk,
                SchedPolicy policy,
-               const std::function<void(unsigned, const LoopBlock&)>& body) {
+               const std::function<void(unsigned, const LoopBlock&)>& body,
+               const WorkerBracket& bracket) {
   uint64_t trip = loopTripCount(r);
   uint64_t nblocks = blockCount(trip, chunk);
   if (nblocks == 0) return;
   unsigned T = pool.size();
+  auto dispatch = [&](const auto& worker) {
+    pool.runOnAll([&](unsigned t) {
+      if (bracket.enter) bracket.enter(t);
+      worker(t);
+      if (bracket.leave) bracket.leave(t);
+    });
+  };
 
   switch (policy) {
     case SchedPolicy::Static: {
@@ -127,7 +135,7 @@ void runBlocks(ThreadPool& pool, const LoopRange& r, int64_t chunk,
         runs[t] = {at, at + n};
         at += n;
       }
-      pool.runOnAll([&](unsigned t) {
+      dispatch([&](unsigned t) {
         for (uint64_t i = runs[t].first; i < runs[t].second; ++i) {
           if (pool.cancelRequested()) return;
           body(t, blockAt(r, chunk, i));
@@ -137,7 +145,7 @@ void runBlocks(ThreadPool& pool, const LoopRange& r, int64_t chunk,
     }
     case SchedPolicy::Dynamic: {
       std::atomic<uint64_t> next{0};
-      pool.runOnAll([&](unsigned t) {
+      dispatch([&](unsigned t) {
         while (!pool.cancelRequested()) {
           uint64_t i = next.fetch_add(1, std::memory_order_relaxed);
           if (i >= nblocks) return;
@@ -148,7 +156,7 @@ void runBlocks(ThreadPool& pool, const LoopRange& r, int64_t chunk,
     }
     case SchedPolicy::Guided: {
       std::atomic<uint64_t> next{0};
-      pool.runOnAll([&](unsigned t) {
+      dispatch([&](unsigned t) {
         while (!pool.cancelRequested()) {
           uint64_t cur = next.load(std::memory_order_relaxed);
           uint64_t take;
@@ -177,7 +185,7 @@ void runBlocks(ThreadPool& pool, const LoopRange& r, int64_t chunk,
           at += n;
         }
       }
-      pool.runOnAll([&](unsigned t) {
+      dispatch([&](unsigned t) {
         while (!pool.cancelRequested()) {
           uint64_t i = 0;
           bool have = false;

@@ -94,6 +94,16 @@ uint64_t blockCount(uint64_t trip, int64_t chunk);
 /// blocks.
 LoopBlock blockAt(const LoopRange& r, int64_t chunk, uint64_t index);
 
+/// Optional per-worker bracket around one runBlocks call: `enter(t)` runs
+/// on worker t before it acquires its first block, `leave(t)` after it
+/// finished its last one (skipped on a worker whose `body` threw). Lets a
+/// caller read a per-thread clock once per worker per region instead of
+/// twice per block.
+struct WorkerBracket {
+  std::function<void(unsigned)> enter;
+  std::function<void(unsigned)> leave;
+};
+
 /// Execute `body(worker, block)` for every block of the decomposition
 /// of `r`, dispatching pool.size() workers under `policy`. Each block
 /// runs exactly once; each worker sees its blocks in increasing index
@@ -103,6 +113,7 @@ LoopBlock blockAt(const LoopRange& r, int64_t chunk, uint64_t index);
 /// pool.cancelRequested() in long iterations.
 void runBlocks(ThreadPool& pool, const LoopRange& r, int64_t chunk,
                SchedPolicy policy,
-               const std::function<void(unsigned, const LoopBlock&)>& body);
+               const std::function<void(unsigned, const LoopBlock&)>& body,
+               const WorkerBracket& bracket = {});
 
 }  // namespace padfa
