@@ -65,19 +65,6 @@ inline std::string extractJsonFlag(int* argc, char** argv) {
   return path;
 }
 
-/// One "hits/misses/inserts/hit_rate" JSON object for a cache counter.
-inline std::string cacheStatsJson(const CacheStats& s) {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "{\"hits\": %llu, \"misses\": %llu, \"inserts\": %llu, "
-                "\"hit_rate\": %.4f}",
-                static_cast<unsigned long long>(s.hits.load()),
-                static_cast<unsigned long long>(s.misses.load()),
-                static_cast<unsigned long long>(s.inserts.load()),
-                s.hitRate());
-  return buf;
-}
-
 /// Loop category label for Table 3, derived from plan attribution flags.
 inline std::string loopCategory(const LoopPlan& plan) {
   bool rt = plan.status == LoopStatus::RuntimeTest;

@@ -199,14 +199,8 @@ void writeAnalysisTimeJson(const std::string& path) {
   std::fprintf(f, "  \"speedup_vs_serial_uncached\": %.3f,\n",
                parallel_ms > 0 ? serial_uncached_ms / parallel_ms : 0.0);
   std::fprintf(f, "  \"cache\": {\n");
-  std::fprintf(f, "    \"feasibility\": %s,\n",
-               cacheStatsJson(stats.feasibility).c_str());
-  std::fprintf(f, "    \"implies\": %s,\n",
-               cacheStatsJson(stats.implies).c_str());
-  std::fprintf(f, "    \"simplify\": %s,\n",
-               cacheStatsJson(stats.simplify).c_str());
-  std::fprintf(f, "    \"summary\": %s\n",
-               cacheStatsJson(stats.summary).c_str());
+  std::fprintf(f, "    \"feasibility\": %s\n",
+               cacheStatsToJson(stats.feasibility).dump().c_str());
   std::fprintf(f, "  }\n");
   std::fprintf(f, "}\n");
   std::fclose(f);

@@ -148,8 +148,8 @@ int main() {
   std::printf("programs gaining additional loops: %d (paper: 9)\n",
               programs_with_gains);
   std::printf("value ranges discharge %d run-time tests at compile time "
-              "(CT-promoted; every promotion re-verified by auditor, "
-              "certification, and oracle)\n",
+              "(CT-promoted; every promotion re-verified by auditor and "
+              "oracle)\n",
               tot_promoted);
   std::printf("doacross pipelines %d further sequential loops across %d "
               "programs; sync requirements %d -> %d after redundant-sync "

@@ -11,7 +11,6 @@
 //               --callgraph exports the interprocedural call graph with
 //               SCC clusters and content fingerprints instead
 //   mfc slice   <file.mf|corpus:NAME> <line>:<var>   backward program slice
-//   mfc certify <file.mf|corpus:NAME>        PDG vs plans vs auditor
 //   mfc list                                 list corpus programs
 //   mfc serve                                run the mfcd analysis daemon
 //   mfc daemon <status|ping|flush|stop>      control a running mfcd
@@ -50,7 +49,6 @@
 #include "driver/padfa.h"
 #include "driver/plan_signature.h"
 #include "ipa/ipa_export.h"
-#include "pdg/certify.h"
 #include "pdg/pdg.h"
 #include "pdg/slice.h"
 #include "server/client.h"
@@ -75,7 +73,6 @@ int usage() {
       "  deps    <file.mf|corpus:NAME>            PDG export (DOT; --json);"
       " --callgraph for the call graph\n"
       "  slice   <file.mf|corpus:NAME> <line>:<var>  backward slice\n"
-      "  certify <file.mf|corpus:NAME>            PDG vs plans vs auditor\n"
       "  signature <file.mf|corpus:NAME>          canonical plan signature\n"
       "  list                                     list corpus programs\n"
       "  serve                                    run the mfcd daemon\n"
@@ -352,45 +349,11 @@ int slice(const CompiledProgram& cp, const Cli& cli,
   return 0;
 }
 
-/// Third verification leg: check the predicated plans against the PDG's
-/// carried edges, then cross-check the verdicts against the PlanAuditor.
-int certify(const CompiledProgram& cp) {
-  ProgramPdg pdg = buildPdg(*cp.program, cp.loops);
-  int rc = 0;
-  for (const AnalysisResult* ar : {&cp.base, &cp.pred}) {
-    CertifyReport rep = certifyPlans(*cp.program, *ar, cp.loops, pdg);
-    DiagEngine quiet;
-    AuditReport audit_rep = auditPlans(*cp.program, *ar, quiet);
-    auto disagreements = crossCheckCertification(*cp.program, rep, audit_rep);
-    std::printf("certify (%s): %zu loop(s): %zu certified, %zu via run-time "
-                "test, %zu inconclusive, %zu DISAGREE; %zu auditor "
-                "mismatch(es)\n",
-                ar == &cp.base ? "base" : "predicated", rep.loops.size(),
-                rep.count(CertifyVerdict::Certified),
-                rep.count(CertifyVerdict::CertifiedTest),
-                rep.count(CertifyVerdict::Inconclusive),
-                rep.count(CertifyVerdict::Disagree), disagreements.size());
-    for (const auto& c : rep.loops) {
-      std::printf("  %-16s %-14s %s (%zu carried edge(s), %zu plan, %zu "
-                  "test)\n",
-                  c.loop->loop_id.c_str(),
-                  std::string(loopStatusName(c.status)).c_str(),
-                  std::string(certifyVerdictName(c.verdict)).c_str(),
-                  c.carried_edges, c.discharged_plan, c.discharged_test);
-      for (const auto& n : c.notes) std::printf("      %s\n", n.c_str());
-    }
-    for (const auto& d : disagreements)
-      std::printf("  MISMATCH: %s\n", d.c_str());
-    if (!rep.clean() || !disagreements.empty()) rc = 1;
-  }
-  return rc;
-}
-
 bool knownCommand(const std::string& cmd) {
   static const char* kCommands[] = {"report", "run",  "elpd",  "emit",
                                     "lint",   "audit", "race",  "deps",
-                                    "slice",  "certify", "signature",
-                                    "list", "serve", "daemon"};
+                                    "slice",  "signature", "list", "serve",
+                                    "daemon"};
   for (const char* c : kCommands)
     if (cmd == c) return true;
   return false;
@@ -560,7 +523,6 @@ int main(int argc, char** argv) {
     else if (cli.cmd == "elpd") rc |= elpd(*cp);
     else if (cli.cmd == "deps") rc |= deps(*cp, cli);
     else if (cli.cmd == "slice") rc |= slice(*cp, cli, source);
-    else if (cli.cmd == "certify") rc |= certify(*cp);
     else if (cli.cmd == "signature")
       std::fputs(planSignature(*cp).c_str(), stdout);
     else if (cli.cmd == "emit") {

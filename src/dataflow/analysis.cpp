@@ -6,7 +6,6 @@
 #include <set>
 
 #include "lang/sema.h"
-#include "support/perf_stats.h"
 #include "symbolic/affine.h"
 
 namespace padfa {
@@ -755,9 +754,6 @@ class Analyzer {
 
   void translateCallee(const ProcDecl& callee, const CallStmt& call,
                        RegionSummary& out);
-  /// Append a cached translation delta (array components only) into the
-  /// caller region's summary.
-  static void mergeTranslated(const RegionSummary& delta, RegionSummary& out);
   void translateList(const GuardedList& src, GuardedList& dst,
                      const std::vector<std::pair<pb::VarId,
                                                  std::optional<pb::LinExpr>>>&
@@ -811,14 +807,6 @@ class Analyzer {
   const ProcDecl* cur_proc_ = nullptr;
   std::map<const VarDecl*, const Expr*> alias_expr_;
   std::set<std::string> reshape_pred_keys_;
-  /// Per-(callee, call-site-substitution) memo of translated summaries:
-  /// hot callees are substituted once per distinct argument signature
-  /// instead of once per call site. Keys are collision-free: the callee's
-  /// symbol id plus each actual's structural key (scalars) or program-
-  /// wide decl uid (arrays); callee summaries and the alias environment
-  /// the actuals render under are fixed for the lifetime of one analyzer,
-  /// so entries never need invalidation. Per-analyzer (single-threaded).
-  std::map<std::string, RegionSummary> translate_cache_;
   /// Set at the first budget exhaustion; all later loops degrade to
   /// Sequential so the surviving parallel plan is exactly the prefix that
   /// was finalized before the event.
@@ -901,47 +889,12 @@ void Analyzer::translateCallee(const ProcDecl& callee, const CallStmt& call,
     return it == expr_map.end() ? nullptr : it->second;
   };
 
-  // Translated-summary memo. The scalar_map construction above stays
-  // eager on purpose: its vt_.idFor/affineOf side effects must happen on
-  // every call so a cache hit leaves VarId assignment order identical to
-  // the uncached engine. Bypassed under a governed budget — translation
-  // charge points are part of the degradation contract.
-  bool use_cache = cachesEnabled();
-  if (use_cache)
-    if (AnalysisBudget* b = AnalysisBudget::current())
-      use_cache = !b->governed();
-  std::string ck;
-  if (use_cache) {
-    ck = std::to_string(callee.name.id);
-    for (size_t i = 0; i < callee.params.size(); ++i) {
-      ck += '(';
-      if (callee.params[i]->isArray()) {
-        const auto& ref = static_cast<const VarRefExpr&>(*call.args[i]);
-        ck += 'a';
-        ck += std::to_string(ref.decl ? ref.decl->uid : 0);
-      } else {
-        ck += 's';
-        ck += exprStructuralKey(*call.args[i]);
-      }
-      ck += ')';
-    }
-    CacheStats& stats = PerfStats::instance().summary;
-    auto hit = translate_cache_.find(ck);
-    if (hit != translate_cache_.end()) {
-      stats.hit();
-      mergeTranslated(hit->second, out);
-      return;
-    }
-    stats.miss();
-  }
-
-  RegionSummary delta;
   for (const auto& [formal, asum] : src.arrays) {
     auto am = array_map.find(formal);
     if (am == array_map.end()) continue;  // defensive
     const VarDecl* actual = am->second;
     if (formal->rank() == actual->rank()) {
-      ArraySummary& dst = delta.arrayFor(actual);
+      ArraySummary& dst = out.arrayFor(actual);
       translateList(asum.reads, dst.reads, scalar_map, subst, unmapped, false);
       translateList(asum.writes, dst.writes, scalar_map, subst, unmapped,
                     false);
@@ -951,30 +904,8 @@ void Analyzer::translateCallee(const ProcDecl& callee, const CallStmt& call,
                     unmapped, true);
       dst.approximate |= asum.approximate;
     } else {
-      reshapeTranslate(*formal, *actual, asum, call, subst, delta);
+      reshapeTranslate(*formal, *actual, asum, call, subst, out);
     }
-  }
-  if (use_cache) {
-    PerfStats::instance().summary.insert();
-    auto it = translate_cache_.emplace(std::move(ck), std::move(delta)).first;
-    mergeTranslated(it->second, out);
-  } else {
-    mergeTranslated(delta, out);
-  }
-}
-
-void Analyzer::mergeTranslated(const RegionSummary& delta,
-                               RegionSummary& out) {
-  for (const auto& [decl, asum] : delta.arrays) {
-    ArraySummary& dst = out.arrayFor(decl);
-    dst.reads.insert(dst.reads.end(), asum.reads.begin(), asum.reads.end());
-    dst.writes.insert(dst.writes.end(), asum.writes.begin(),
-                      asum.writes.end());
-    dst.must_writes.insert(dst.must_writes.end(), asum.must_writes.begin(),
-                           asum.must_writes.end());
-    dst.exposed.insert(dst.exposed.end(), asum.exposed.begin(),
-                       asum.exposed.end());
-    dst.approximate |= asum.approximate;
   }
 }
 

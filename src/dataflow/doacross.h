@@ -52,8 +52,8 @@ SyncOrderInfo buildSyncOrderInfo(const ForStmt& loop);
 /// ordinals; the conflict scanner's geometry works in INDEX space, so
 /// an index distance D corresponds to ordinal distance D / step (and
 /// must divide exactly — index values are lo + k*step, so it always
-/// does for real dependences). The auditor and the PDG certifier apply
-/// the same conversion before matching against plan.syncs.
+/// does for real dependences). The auditor applies the same conversion
+/// before matching against plan.syncs.
 std::optional<int64_t> doacrossConstStep(const ForStmt& loop);
 
 /// Is requirement `req` implied by the non-eliminated requirements in

@@ -37,8 +37,8 @@ enum class VraAction : uint8_t {
   None,
   /// RuntimeTest whose derived test is provably true under the inferred
   /// ranges: dispatched as Parallel. The test itself is RETAINED in
-  /// `runtime_test` so the auditor, PDG certification, and the race
-  /// oracle can each re-verify the discharge independently.
+  /// `runtime_test` so the auditor and the race oracle can each
+  /// re-verify the discharge independently.
   PromotedParallel,
   /// RuntimeTest whose derived test is provably false: the parallel
   /// version is dead code, only the sequential version ships.

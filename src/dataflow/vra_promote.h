@@ -10,10 +10,10 @@
 //                     Sequential.
 //
 // Promoted plans RETAIN their runtime_test and are tagged
-// VraAction::PromotedParallel so that PlanAuditor, PDG certification,
-// and the race oracle can each re-derive the discharge independently —
-// a forged promotion surfaces as Unsound / Disagree / a reported race,
-// the same teeth discipline the audit tripod applies everywhere else.
+// VraAction::PromotedParallel so that the PlanAuditor and the race
+// oracle can each re-derive the discharge independently — a forged
+// promotion surfaces as Unsound and as a reported race, the same teeth
+// discipline the audit tripod applies everywhere else.
 //
 // The pass runs post-persistence (after the deep-plan store replays),
 // alongside upgradeDoacrossPlans, so stored bytes stay promotion-

@@ -40,7 +40,7 @@ std::optional<CompiledProgram> compileSource(const std::string& source,
 /// Same, but with explicit budget limits applied to both analyses — the
 /// mfcd daemon's per-request deadline path. A governed budget degrades
 /// slow loops to sound Sequential/baseline plans instead of hanging the
-/// request (and bypasses the memoization caches, per the degradation
+/// request (and bypasses the feasibility cache, per the degradation
 /// contract in perf_stats.h). PADFA_BUDGET_* env overrides still apply
 /// on top of `budget`.
 std::optional<CompiledProgram> compileSource(const std::string& source,

@@ -20,12 +20,6 @@ std::string_view pdgEdgeKindName(PdgEdgeKind k) {
   return "?";
 }
 
-const ProcPdg* ProgramPdg::forProc(const ProcDecl* proc) const {
-  for (const ProcPdg& p : procs)
-    if (p.proc == proc) return &p;
-  return nullptr;
-}
-
 bool nodeInLoop(const CfgNode& n, const ForStmt* loop, const LoopTree& loops) {
   for (const ForStmt* cur = n.loop; cur;) {
     if (cur == loop) return true;
@@ -195,7 +189,7 @@ class PdgBuilder {
     // Anchors are statements of the audited procedure; the rare access
     // with no own CFG node (e.g. evaluated by a hoisted declaration in a
     // nested bare block) is attributed to the loop header rather than
-    // dropped — certification must never lose a carried dependence.
+    // dropped — the graph must never lose a carried dependence.
     const CfgNode* sn = cfg_->nodeFor(a.anchor);
     const CfgNode* dn = cfg_->nodeFor(b.anchor);
     if (!sn) sn = cfg_->nodeFor(loop);
@@ -217,10 +211,8 @@ class PdgBuilder {
   /// A scalar assigned AND read in the loop body (and not declared
   /// there, i.e. not iteration-private by scoping) induces carried
   /// output and anti dependences; one representative edge per
-  /// (variable, loop) keeps the graph readable while preserving the
-  /// certification signal. Write-only shared scalars follow the
-  /// auditor's last-value treatment and get no edge — keeping the two
-  /// scalar disciplines identical by construction.
+  /// (variable, loop) keeps the graph readable. Write-only shared
+  /// scalars follow the auditor's last-value treatment and get no edge.
   void addScalarCarried(const LoopConflictScanner& scanner,
                         const ForStmt* loop) {
     std::set<const VarDecl*> read_set;

@@ -12,9 +12,7 @@
 //      - the shared Presburger conflict systems (audit/loop_conflicts.h):
 //        loop-carried array dependences per loop, with a constant
 //        iteration `distance` when the conflict system forces one and
-//        `exact` when both accesses were modeled exactly. These are the
-//        only edges the PDG<->auditor cross-certification (certify.h)
-//        treats as disqualifying evidence.
+//        `exact` when both accesses were modeled exactly.
 //    Scalar anti/output dependences carried by a loop are emitted from
 //    the assigned/used sets (may-deps; privatization discharges them).
 //
@@ -78,8 +76,6 @@ struct ProcPdg {
 struct ProgramPdg {
   std::vector<ProcPdg> procs;  // program order
   PdgStats stats;
-
-  const ProcPdg* forProc(const ProcDecl* proc) const;
 };
 
 /// Build the whole-program PDG. Sema must have run; `loops` is the loop

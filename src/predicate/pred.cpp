@@ -1,10 +1,7 @@
 #include "predicate/pred.h"
 
 #include <algorithm>
-#include <unordered_map>
 
-#include "support/budget.h"
-#include "support/perf_stats.h"
 #include "symbolic/affine.h"
 
 namespace padfa {
@@ -14,8 +11,9 @@ namespace {
 // Structural key for an expression. Variables are qualified with their
 // interner symbol id, local id, and program-wide uid so distinct decls
 // with equal spelling never collide — not even across procedures (where
-// local ids restart from 0). Collision freedom is what lets the memo
-// tables below treat key equality as full structural identity.
+// local ids restart from 0). Collision freedom is what lets Pred treat
+// key equality as full structural identity (dedupe, complement
+// detection, operator==).
 void keyOf(const Expr& e, std::string& out) {
   switch (e.kind) {
     case ExprKind::IntLit:
@@ -120,42 +118,7 @@ std::string flipAtomKey(const std::string& key) {
   return "A!" + key.substr(1);
 }
 
-// Per-(thread, VarTable) memo tables for implies()/simplify(). Thread-
-// local because every analysis runs single-threaded against its own
-// VarTable; keyed by the table's epoch so a new analysis on this thread
-// starts from an empty memo (address reuse cannot resurrect stale
-// entries). Determinism argument ("id transparency"): a hit can only
-// occur after a structurally identical miss already ran on this VarTable,
-// and that miss performed every vt.idFor() side effect of the uncached
-// computation on the very same decls — so replays are idempotent and
-// skipping them cannot shift VarId assignment order.
-struct PredMemo {
-  uint64_t epoch = 0;
-  std::unordered_map<std::string, bool> implies;
-  std::unordered_map<std::string, Pred> simplify;
-};
-
-PredMemo* usableMemo(const VarTable& vt) {
-  if (!cachesEnabled()) return nullptr;
-  // A governed budget must observe every charge point (see perf_stats.h).
-  if (AnalysisBudget* b = AnalysisBudget::current())
-    if (b->governed()) return nullptr;
-  thread_local PredMemo memo;
-  if (memo.epoch != vt.epoch()) {
-    memo.epoch = vt.epoch();
-    memo.implies.clear();
-    memo.simplify.clear();
-  }
-  return &memo;
-}
-
 }  // namespace
-
-std::string exprStructuralKey(const Expr& e) {
-  std::string out;
-  keyOf(e, out);
-  return out;
-}
 
 Pred::Pred() : node_(trueNode()) {}
 Pred Pred::always() { return Pred(trueNode()); }
@@ -352,33 +315,6 @@ pb::System Pred::affineUpperBound(VarTable& vt) const {
 }
 
 bool Pred::implies(const Pred& q, VarTable& vt) const {
-  // Constant answers never reach the memo (cheaper than the lookup).
-  if (q.isTrue() || isFalse()) return true;
-  if (key() == q.key()) return true;
-  if (q.isFalse()) return false;
-  PredMemo* memo = usableMemo(vt);
-  if (!memo) return impliesImpl(q, vt);
-  std::string ck;
-  ck.reserve(key().size() + q.key().size() + 1);
-  ck += key();
-  ck += '>';
-  ck += q.key();
-  auto it = memo->implies.find(ck);
-  CacheStats& stats = PerfStats::instance().implies;
-  if (it != memo->implies.end()) {
-    stats.hit();
-    return it->second;
-  }
-  stats.miss();
-  bool r = impliesImpl(q, vt);
-  // Re-acquired map (not the saved iterator): the recursive impliesImpl
-  // call memoizes its subqueries into the same table.
-  memo->implies.emplace(std::move(ck), r);
-  stats.insert();
-  return r;
-}
-
-bool Pred::impliesImpl(const Pred& q, VarTable& vt) const {
   if (q.isTrue() || isFalse()) return true;
   if (key() == q.key()) return true;
   if (q.isFalse()) return false;
@@ -553,22 +489,6 @@ size_t Pred::atomCount() const {
 Pred Pred::simplify(VarTable& vt) const {
   if (node_->kind != PredKind::And && node_->kind != PredKind::Or)
     return *this;
-  PredMemo* memo = usableMemo(vt);
-  if (!memo) return simplifyImpl(vt);
-  auto it = memo->simplify.find(key());
-  CacheStats& stats = PerfStats::instance().simplify;
-  if (it != memo->simplify.end()) {
-    stats.hit();
-    return it->second;
-  }
-  stats.miss();
-  Pred r = simplifyImpl(vt);
-  memo->simplify.emplace(key(), r);
-  stats.insert();
-  return r;
-}
-
-Pred Pred::simplifyImpl(VarTable& vt) const {
   const bool is_and = node_->kind == PredKind::And;
   std::vector<Pred> kids;
   kids.reserve(node_->children.size());

@@ -125,9 +125,6 @@ class Pred {
  private:
   explicit Pred(std::shared_ptr<const PredNode> n) : node_(std::move(n)) {}
   static Pred makeCombo(PredKind kind, std::vector<Pred> children);
-  // Uncached bodies behind the memoized implies()/simplify() entry points.
-  bool impliesImpl(const Pred& q, VarTable& vt) const;
-  Pred simplifyImpl(VarTable& vt) const;
 
   std::shared_ptr<const PredNode> node_;
 };
@@ -137,12 +134,5 @@ class Pred {
 /// For op Eq: rhs - lhs == 0; negated Eq is disjunctive -> nullopt.
 std::optional<pb::Constraint> atomConstraint(const PredNode& atom,
                                              VarTable& vt);
-
-/// The structural key of an expression, as used inside Pred keys:
-/// variables are qualified with (symbol id, local id, program-wide uid),
-/// so equal keys mean structurally identical expressions over identical
-/// declarations. Exposed for cache keys (e.g. the translated-summary
-/// cache keys call-site actuals by this).
-std::string exprStructuralKey(const Expr& e);
 
 }  // namespace padfa

@@ -118,8 +118,8 @@ class AnalysisBudget {
 
   /// True when this budget can actually run out: a finite limit beyond
   /// the recursion backstop is set, or a fault injector is attached. The
-  /// memoization layer bypasses its caches under a governed budget —
-  /// charge points are part of the observable degradation contract, and
+  /// feasibility cache is bypassed under a governed budget — charge
+  /// points are part of the observable degradation contract, and
   /// a cache hit that skipped them would let a starved analysis dodge
   /// the exhaustion it is supposed to hit.
   bool governed() const {

@@ -43,9 +43,6 @@ PerfStats& PerfStats::instance() {
 std::string PerfStats::report() const {
   std::string out = "cache statistics:\n";
   appendLine(out, "feasibility", feasibility);
-  appendLine(out, "implies", implies);
-  appendLine(out, "simplify", simplify);
-  appendLine(out, "summary", summary);
   uint64_t runs = incremental.runs.load(std::memory_order_relaxed);
   if (runs > 0) {
     char buf[200];
@@ -102,9 +99,6 @@ JsonValue cacheStatsToJson(const CacheStats& s) {
 JsonValue perfStatsToJson(const PerfStats& stats) {
   JsonValue v = JsonValue::object();
   v.set("feasibility", cacheStatsToJson(stats.feasibility));
-  v.set("implies", cacheStatsToJson(stats.implies));
-  v.set("simplify", cacheStatsToJson(stats.simplify));
-  v.set("summary", cacheStatsToJson(stats.summary));
   return v;
 }
 

@@ -1,21 +1,23 @@
-// Process-wide performance counters for the memoization layer.
+// Process-wide performance counters.
 //
-// Every cache in the engine (Presburger feasibility, predicate
-// implies/simplify, interprocedural translated summaries) reports its
-// hit/miss/insert traffic through one of the named CacheStats instances
-// below so benches and tests can print and assert cache effectiveness.
-// Counters are atomic (relaxed): they are telemetry, never control flow,
-// so cross-thread ordering is irrelevant — only totals matter.
+// The engine's one result cache, the Presburger feasibility cache,
+// reports its hit/miss/insert traffic through `PerfStats::feasibility`
+// so benches and tests can print and assert cache effectiveness; the
+// incremental path and the value-range analysis keep their own counter
+// blocks. Counters are atomic (relaxed): they are telemetry, never
+// control flow, so cross-thread ordering is irrelevant — only totals
+// matter.
 //
 // Cache enablement is a process-wide switch: the PADFA_NO_CACHE
-// environment variable (any non-empty value) disables every cache, and
+// environment variable (any non-empty value) disables the feasibility
+// cache, the daemon's warm path and incremental replay, and
 // setCachesEnabled() overrides the environment programmatically (used by
 // the cache-coherence test to compare cached vs uncached plans in one
-// process). Caches are additionally bypassed per-call-site whenever a
-// *governed* AnalysisBudget is installed (finite limits or a fault
-// injector): budget charging is part of the observable degradation
-// contract, and a cache hit that skips charge points would let a starved
-// analysis dodge the exhaustion it is supposed to hit.
+// process). The cache is additionally bypassed whenever a *governed*
+// AnalysisBudget is installed (finite limits or a fault injector):
+// budget charging is part of the observable degradation contract, and a
+// cache hit that skips charge points would let a starved analysis dodge
+// the exhaustion it is supposed to hit.
 #pragma once
 
 #include <atomic>
@@ -99,12 +101,11 @@ struct VraCounters {
   }
 };
 
-/// The process-wide counter set, one CacheStats per engine cache.
+/// The process-wide counter set.
 struct PerfStats {
-  CacheStats feasibility;  ///< pb::System::feasible() memo
-  CacheStats implies;      ///< Pred::implies pair memo
-  CacheStats simplify;     ///< Pred::simplify memo
-  CacheStats summary;      ///< translated callee-summary memo
+  CacheStats feasibility;  ///< pb::System::feasible() cache
+  // Never incremented; kept only because perfbench/ still reads them.
+  CacheStats implies, simplify, summary;
   IncrementalCounters incremental;  ///< change-impact replay path
   VraCounters vra;                  ///< value-range analysis + clients
 
@@ -112,14 +113,11 @@ struct PerfStats {
 
   void resetAll() {
     feasibility.reset();
-    implies.reset();
-    simplify.reset();
-    summary.reset();
     incremental.reset();
     vra.reset();
   }
 
-  /// One-line-per-cache human-readable dump for bench output.
+  /// One-line-per-counter-block human-readable dump for bench output.
   std::string report() const;
 };
 
@@ -128,8 +126,8 @@ struct PerfStats {
 /// response share.
 JsonValue cacheStatsToJson(const CacheStats& s);
 
-/// Object keyed by cache name ("feasibility", "implies", "simplify",
-/// "summary"), each a cacheStatsToJson() entry.
+/// {"feasibility": cacheStatsToJson(...)} — the mfcd `status` response's
+/// "cache" object.
 JsonValue perfStatsToJson(const PerfStats& stats);
 
 /// {"runs":..,"procs_analyzed":..,"procs_replayed":..,
@@ -142,7 +140,7 @@ JsonValue incrementalCountersToJson(const IncrementalCounters& c);
 /// by bench/fig_vra.cpp.
 JsonValue vraCountersToJson(const VraCounters& c);
 
-/// Whether the memoization layer is active. Defaults to the environment
+/// Whether the caches are active. Defaults to the environment
 /// (PADFA_NO_CACHE unset/empty => enabled); a setCachesEnabled() call
 /// takes precedence over the environment for the rest of the process.
 bool cachesEnabled();

@@ -1,16 +1,8 @@
 #include "symbolic/vartable.h"
 
-#include <atomic>
-
 namespace padfa {
 
-namespace {
-std::atomic<uint64_t> g_next_vartable_epoch{1};
-}  // namespace
-
-VarTable::VarTable(const Interner* interner)
-    : interner_(interner),
-      epoch_(g_next_vartable_epoch.fetch_add(1, std::memory_order_relaxed)) {
+VarTable::VarTable(const Interner* interner) : interner_(interner) {
   for (size_t k = 0; k < kMaxRank; ++k)
     entries_.push_back({VarKind::Dim, "@d" + std::to_string(k), nullptr});
 }

@@ -63,12 +63,6 @@ class VarTable {
   /// Convenience name function for Set/System::str.
   std::function<std::string(pb::VarId)> namer() const;
 
-  /// Process-unique id of this VarTable instance (from a monotone global
-  /// counter, never reused). The predicate layer's per-analysis memo
-  /// tables are invalidated by epoch change, which is immune to the
-  /// address reuse a `VarTable*` key would suffer from.
-  uint64_t epoch() const { return epoch_; }
-
  private:
   struct Entry {
     VarKind kind;
@@ -76,7 +70,6 @@ class VarTable {
     const VarDecl* decl = nullptr;
   };
   const Interner* interner_ = nullptr;
-  uint64_t epoch_ = 0;
   std::vector<Entry> entries_;
   std::unordered_map<const VarDecl*, pb::VarId> by_decl_;
   std::unordered_map<pb::VarId, pb::LinExpr> aliases_;

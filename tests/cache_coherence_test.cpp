@@ -1,13 +1,15 @@
-// Corpus-wide cache/parallelism coherence: the memoization layer and the
-// task-parallel driver are pure performance features — every LoopPlan,
-// loop outcome, and degradation flag must be bit-identical to the serial,
-// uncached engine regardless of cache state and thread count.
+// Corpus-wide cache/parallelism coherence: the Presburger feasibility
+// cache and the task-parallel driver are pure performance features —
+// every LoopPlan, loop outcome, and degradation flag must be bit-identical
+// to the serial, uncached engine regardless of cache state and thread
+// count.
 //
-// The test compiles the whole corpus once serially with caches disabled
-// (the reference), then recompiles it under caches {off, on} × pool sizes
-// {1, 2, 8} — deliberately *without* clearing the global caches between
-// configurations, so later runs also exercise warm-cache determinism —
-// and compares a full structural signature of every program's plans.
+// The test compiles the whole corpus once serially with the feasibility
+// cache disabled (the reference), then recompiles it under cache {off,
+// on} × pool sizes {1, 2, 8} — deliberately *without* clearing the global
+// cache between configurations, so later runs also exercise warm-cache
+// determinism — and compares a full structural signature of every
+// program's plans.
 #include <gtest/gtest.h>
 
 #include <future>
@@ -76,7 +78,7 @@ TEST(CacheCoherence, PlansIdenticalAcrossCachesAndThreads) {
   }
   clearCachesEnabledOverride();
 
-  // The cached runs must actually have exercised the memo layer; a
+  // The cached runs must actually have exercised the cache; a
   // permanently-missing cache would make this whole test vacuous.
   EXPECT_GT(PerfStats::instance().feasibility.hits.load(), 0u);
   EXPECT_GT(PerfStats::instance().feasibility.inserts.load(), 0u);

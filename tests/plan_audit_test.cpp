@@ -165,6 +165,82 @@ TEST(PlanAuditTeeth, OracleCatchesFalsifiedPlan) {
       << oracle.report(cp.program->interner);
 }
 
+// Scalar teeth: checkScalars is the only static check that a scalar
+// assigned and read in the body is declared private, copied out, or
+// reduced. A plan forged to drop that declaration must leave the loop
+// Inconclusive (deferred to the oracle) with a note naming the scalar,
+// while the genuine plan audits Independent.
+void expectScalarFlagged(const CompiledProgram& cp,
+                         const AnalysisResult& forged, const ForStmt* loop,
+                         const std::string& scalar) {
+  auto auditOf = [&](const AnalysisResult& ar) -> LoopAudit {
+    DiagEngine diags;
+    AuditReport rep = auditPlans(*cp.program, ar, diags);
+    for (const LoopAudit& la : rep.loops)
+      if (la.loop == loop) return la;
+    ADD_FAILURE() << "loop " << loop->loop_id << " was not audited";
+    return {};
+  };
+  EXPECT_EQ(auditOf(cp.pred).verdict, AuditVerdict::Independent);
+  LoopAudit la = auditOf(forged);
+  EXPECT_EQ(la.verdict, AuditVerdict::Inconclusive);
+  bool noted = false;
+  for (const auto& n : la.notes)
+    noted |= n.find("scalar '" + scalar +
+                    "' is assigned and read in the body") !=
+             std::string::npos;
+  EXPECT_TRUE(noted) << "no scalar note among " << la.notes.size()
+                     << " note(s)";
+}
+
+TEST(PlanAuditTeeth, AuditorFlagsDroppedReduction) {
+  CompiledProgram cp = compile(R"(
+proc main() {
+  real a[64];
+  real s; s = 0.0;
+  for i = 0 to 63 { a[i] = noise(i); }
+  for i = 0 to 63 { s = s + a[i]; }
+  sink(s);
+}
+)");
+  AnalysisResult forged = cp.pred;
+  const ForStmt* target = nullptr;
+  for (auto& [loop, plan] : forged.plans) {
+    if (plan.status != LoopStatus::Parallel || plan.reductions.empty())
+      continue;
+    plan.reductions.clear();
+    target = loop;
+  }
+  ASSERT_NE(target, nullptr);
+  expectScalarFlagged(cp, forged, target, "s");
+}
+
+TEST(PlanAuditTeeth, AuditorFlagsDroppedPrivateScalar) {
+  CompiledProgram cp = compile(R"(
+proc main() {
+  real a[64];
+  real b[64];
+  real t;
+  for i = 0 to 63 { b[i] = noise(i); }
+  for i = 0 to 63 {
+    t = b[i] * 2.0;
+    a[i] = t + 1.0;
+  }
+  sink(a[5]);
+}
+)");
+  AnalysisResult forged = cp.pred;
+  const ForStmt* target = nullptr;
+  for (auto& [loop, plan] : forged.plans) {
+    if (plan.status != LoopStatus::Parallel || plan.private_scalars.empty())
+      continue;
+    plan.private_scalars.clear();
+    target = loop;
+  }
+  ASSERT_NE(target, nullptr);
+  expectScalarFlagged(cp, forged, target, "t");
+}
+
 // A clean doall with a guard is certified Independent.
 TEST(PlanAuditTeeth, CertifiesGuardedDoall) {
   CompiledProgram cp = compile(R"(
