@@ -13,6 +13,7 @@
 
 #include "audit/race_oracle.h"
 #include "dataflow/doacross.h"
+#include "runtime/scheduler.h"
 
 namespace padfa {
 
@@ -141,13 +142,13 @@ struct RedSlot {
 /// Measured cost per iteration of one planned loop on its earlier entries
 /// in this execute: the whole region's wall time over trip when inline;
 /// when pooled, the wall time per iteration of the first block any worker
-/// starts (worker busy totals would charge scheduling and idle scanning
-/// to the loop, and a thread-CPU clock read costs more than a small
-/// block). Timing noise (preemption, a cold cache) only ever inflates a
-/// sample, so the estimate drops to a cheaper sample at once and moves a
-/// quarter of the way toward a dearer one: one preempted entry costs at
-/// most one needless pool dispatch, while a loop that really grows still
-/// reaches the pool within a few entries.
+/// starts (its thread-CPU cost, which the pooled path also records, would
+/// carry a clock read that costs more than a small block). Timing noise
+/// (preemption, a cold cache) only ever inflates a sample, so the
+/// estimate drops to a cheaper sample at once and moves a quarter of the
+/// way toward a dearer one: one preempted entry costs at most one
+/// needless pool dispatch, while a loop that really grows still reaches
+/// the pool within a few entries.
 struct LoopCost {
   double per_iter = 0;
   bool measured = false;
@@ -233,7 +234,7 @@ class Interp {
     // A single-threaded plan run still gets a (worker-less) pool: planned
     // loops then take the same block decomposition and per-block
     // reduction combine as multi-threaded runs, so results are
-    // bit-identical across 1..N threads and all scheduler policies.
+    // bit-identical across 1..N threads.
     if (opt_.plans && opt_.num_threads >= 1 && !opt_.race && !opt_.elpd)
       pool_ = std::make_unique<ThreadPool>(opt_.num_threads);
   }
@@ -621,18 +622,19 @@ class Interp {
         plan->vra_action == VraAction::PromotedParallel)
       ++stats_.runtime_tests_pruned;
 
+    const LoopRange range{lb, ub, step};
     double region_sim = -1;
     if (plan && step > 0 && lb <= ub) {
       if (plan->status == LoopStatus::Doacross) {
-        region_sim = execForDoacross(loop, *plan, frame, lb, ub, step);
+        region_sim = execForDoacross(loop, *plan, frame, range);
         ++stats_.doacross_loops_entered;
       } else {
-        region_sim = execForParallel(loop, *plan, frame, lb, ub, step);
+        region_sim = execForParallel(loop, *plan, frame, range);
         ++stats_.parallel_loops_entered;
       }
-      iters = static_cast<uint64_t>((ub - lb) / step + 1);
+      iters = loopTripCount(range);
     } else {
-      returned = execForSequential(loop, frame, lb, ub, step, iters);
+      returned = execForSequential(loop, frame, range, iters);
     }
 
     // Profiling is skipped inside parallel regions (stats_ would race);
@@ -649,8 +651,8 @@ class Interp {
     return returned;
   }
 
-  bool execForSequential(const ForStmt& loop, Frame& frame, int64_t lb,
-                         int64_t ub, int64_t step, uint64_t& iters) {
+  bool execForSequential(const ForStmt& loop, Frame& frame,
+                         const LoopRange& range, uint64_t& iters) {
     bool instrument =
         opt_.elpd && opt_.elpd->isInstrumented(&loop);
     if (instrument) opt_.elpd->loopEnter(&loop);
@@ -702,30 +704,26 @@ class Interp {
     }
     bool prev_race = race_active_;
     if (opt_.race) race_active_ = race_active_ || race_instr;
-    int64_t ordinal = 0;
+    // Count the iterations and step the index in wrapping uint64
+    // arithmetic, as blockAt does: a bound at the int64 limit neither
+    // overflows the index nor keeps the loop running.
+    const uint64_t trip = loopTripCount(range);
+    const uint64_t step = static_cast<uint64_t>(range.step);
+    uint64_t ordinal = 0;
     bool returned = false;
-    if (step > 0) {
-      for (int64_t i = lb; i <= ub; i += step, ++ordinal) {
-        if (instrument) opt_.elpd->loopIterStart(&loop, ordinal);
-        if (race_instr) opt_.race->loopIterStart(&loop, ordinal);
-        frame[loop.index_decl->local_id].i = i;
-        if (execBlock(*loop.body, frame)) {
-          returned = true;
-          break;
-        }
-      }
-    } else {
-      for (int64_t i = lb; i >= ub; i += step, ++ordinal) {
-        if (instrument) opt_.elpd->loopIterStart(&loop, ordinal);
-        if (race_instr) opt_.race->loopIterStart(&loop, ordinal);
-        frame[loop.index_decl->local_id].i = i;
-        if (execBlock(*loop.body, frame)) {
-          returned = true;
-          break;
-        }
+    for (uint64_t i = static_cast<uint64_t>(range.lo); ordinal < trip;
+         ++ordinal, i += step) {
+      if (instrument)
+        opt_.elpd->loopIterStart(&loop, static_cast<int64_t>(ordinal));
+      if (race_instr)
+        opt_.race->loopIterStart(&loop, static_cast<int64_t>(ordinal));
+      frame[loop.index_decl->local_id].i = static_cast<int64_t>(i);
+      if (execBlock(*loop.body, frame)) {
+        returned = true;
+        break;
       }
     }
-    iters = static_cast<uint64_t>(ordinal);
+    iters = ordinal;
     if (instrument) opt_.elpd->loopExit(&loop);
     if (race_instr) opt_.race->loopExit(&loop);
     if (opt_.elpd) elpd_active_ = prev_active;
@@ -801,12 +799,11 @@ class Interp {
                   uint64_t b0, uint64_t b1, Iterate&& iterate) {
     size_t nred = red_slots_.size();
     uint64_t c = static_cast<uint64_t>(blocks.chunk);
-    int64_t step = blocks.range.step;
+    uint64_t step = static_cast<uint64_t>(blocks.range.step);
     Cell& index = tf[loop.index_decl->local_id];
     uint64_t o = b0 * c;
     // lo + o*step in wrapping uint64 arithmetic, as blockAt computes it.
-    int64_t i = static_cast<int64_t>(static_cast<uint64_t>(blocks.range.lo) +
-                                     o * static_cast<uint64_t>(step));
+    uint64_t i = static_cast<uint64_t>(blocks.range.lo) + o * step;
     for (uint64_t b = b0; b < b1; ++b) {
       for (const RedSlot& rs : red_slots_) {
         tf[rs.id].i = rs.identity.i;
@@ -814,7 +811,7 @@ class Interp {
       }
       for (uint64_t end = std::min(blocks.trip, o + c); o < end;
            ++o, i += step) {
-        index.i = i;
+        index.i = static_cast<int64_t>(i);
         if (!iterate(static_cast<int64_t>(o))) return;
       }
       RedPart* out = partials_.data() + b * nred;
@@ -825,8 +822,8 @@ class Interp {
 
   /// Fold the per-block reduction partials into the shared scalars in
   /// ascending block order: the grouping depends only on the block
-  /// decomposition, so sums are bit-identical across policies, threads,
-  /// and inline or pooled execution.
+  /// decomposition, so sums are bit-identical across threads and inline
+  /// or pooled execution.
   void combinePartials(Frame& frame, uint64_t nblocks) {
     size_t nred = red_slots_.size();
     for (size_t r = 0; r < nred; ++r) {
@@ -929,8 +926,8 @@ class Interp {
   /// Copy-out from the final-block frame: privatized arrays and scalars
   /// take the values left by the globally-last block (which contains the
   /// last iteration — the analysis guarantees per-iteration definition,
-  /// so any contiguous tail is equivalent and the choice is
-  /// policy-invariant).
+  /// so any contiguous tail is equivalent and the choice does not depend
+  /// on which worker ran the block).
   void copyOutFrom(const LoopPlan& plan, Frame& frame, Frame& lf) {
     for (const auto& pa : plan.privatized) {
       if (!pa.copy_out) continue;
@@ -945,17 +942,30 @@ class Interp {
       frame[sc->local_id] = lf[sc->local_id];
   }
 
+  /// Makespan of the blocks of a region, with thread-CPU costs
+  /// `block_cpu` in index order, on T dedicated virtual workers under
+  /// the scheduler's claim rule: each block goes to the worker that
+  /// frees up first. Replaying measured costs rather than reading
+  /// per-worker totals keeps the model independent of host load: a
+  /// worker kept off its core makes the others claim more blocks, which
+  /// would raise their totals without any block costing more.
+  static double replayBlocks(const std::vector<double>& block_cpu,
+                             unsigned T) {
+    std::vector<double> wclock(T, 0.0);
+    for (double c : block_cpu)
+      *std::min_element(wclock.begin(), wclock.end()) += c;
+    return *std::max_element(wclock.begin(), wclock.end());
+  }
+
   /// DOALL execution over the block scheduler, or inline on the calling
   /// thread when T = 1 or the granularity test says the region is too
   /// small to pay for a dispatch. Returns the simulated P-processor cost
   /// of this region (serial prologue/epilogue at wall time, a pooled
-  /// region at max-over-workers busy time, an inline one at wall time).
+  /// region at its replayed block costs, an inline one at wall time).
   double execForParallel(const ForStmt& loop, const LoopPlan& plan,
-                         Frame& frame, int64_t lb, int64_t ub,
-                         int64_t step) {
+                         Frame& frame, const LoopRange& range) {
     auto t0 = Clock::now();
     unsigned T = pool_->size();
-    LoopRange range{lb, ub, step};
     const Blocks blocks(range, resolveChunk(loopTripCount(range), opt_.chunk));
     uint64_t nblocks = blocks.count;
 
@@ -972,7 +982,11 @@ class Interp {
     }
 
     prepareFrames(plan, frame, T, nblocks);
-    busy_.assign(T, 0.0);
+    // A block's cost runs from its worker's previous clock read (the end
+    // of its previous block, or the start of this one) to its end: one
+    // thread-CPU read per block, plus one per worker.
+    block_cpu_.assign(nblocks, 0.0);
+    cpu_mark_.assign(T, -1.0);
     // The cost sample: written by the one worker that claims it, read by
     // the dispatching thread after the barrier.
     std::atomic<bool> sample_claimed{false};
@@ -981,9 +995,11 @@ class Interp {
     bool prev_in_parallel = in_parallel_;
     in_parallel_ = true;
     runBlocks(
-        *pool_, range, blocks.chunk, opt_.sched,
+        *pool_, range, blocks.chunk,
         [&](unsigned t, const LoopBlock& blk) {
           Frame& tf = frames_[blk.index == nblocks - 1 ? T : t];
+          double& mark = cpu_mark_[t];
+          if (mark < 0) mark = threadCpuSecondsNow();
           bool sampling =
               !sample_claimed.load(std::memory_order_relaxed) &&
               !sample_claimed.exchange(true, std::memory_order_relaxed);
@@ -998,9 +1014,10 @@ class Interp {
           if (sampling)
             sample =
                 seconds(Clock::now() - s0) / static_cast<double>(blk.iters);
-        },
-        {[&](unsigned t) { busy_[t] = -threadCpuSecondsNow(); },
-         [&](unsigned t) { busy_[t] += threadCpuSecondsNow(); }});
+          double now = threadCpuSecondsNow();
+          block_cpu_[blk.index] = now - mark;
+          mark = now;
+        });
     in_parallel_ = prev_in_parallel;
     auto t2 = Clock::now();
 
@@ -1009,9 +1026,7 @@ class Interp {
     auto t3 = Clock::now();
 
     if (sample >= 0) cost.record(sample);
-    double max_busy = 0;
-    for (double b : busy_) max_busy = std::max(max_busy, b);
-    return bookRegion(t0, t1, t2, t3, max_busy);
+    return bookRegion(t0, t1, t2, t3, replayBlocks(block_cpu_, T));
   }
 
   /// Post/wait tables for one Doacross plan (built once, single-threaded
@@ -1089,13 +1104,13 @@ class Interp {
 
   /// Pipelined (Doacross) execution: per-iteration post/wait cells in a
   /// ring of `window` slots; iteration o may not start before iteration
-  /// o - window completed. Returns the simulated region cost.
+  /// o - window completed. Workers claim blocks in ascending order, so
+  /// the lowest unfinished iteration is always running and the pipeline
+  /// overlaps. Returns the simulated region cost.
   double execForDoacross(const ForStmt& loop, const LoopPlan& plan,
-                         Frame& frame, int64_t lb, int64_t ub,
-                         int64_t step) {
+                         Frame& frame, const LoopRange& range) {
     auto t0 = Clock::now();
     unsigned T = pool_->size();
-    LoopRange range{lb, ub, step};
     // Fine-grained blocks by default: pipelining wants the smallest
     // grain that amortizes dispatch.
     const Blocks blocks(range, opt_.chunk >= 1 ? opt_.chunk : 1);
@@ -1121,13 +1136,13 @@ class Interp {
 
     // Record per-iteration sync traces for the makespan model, unless
     // the region is too large to afford it (then fall back to the DOALL
-    // max-busy model).
+    // block replay, which ignores the waits).
     constexpr uint64_t kSimCap = uint64_t{1} << 16;
     bool recording = trip <= kSimCap;
     std::vector<DoaIterRec> recs(recording ? trip : 0);
 
     prepareFrames(plan, frame, T, nblocks);
-    busy_.assign(T, 0.0);
+    block_cpu_.assign(nblocks, 0.0);
     std::atomic<uint64_t> waits_total{0};
     // Reductions recognized by the scalar phase before the array phase
     // fell back take the same per-block partials and block-order combine
@@ -1136,7 +1151,7 @@ class Interp {
     auto t1 = Clock::now();
     bool prev_in_parallel = in_parallel_;
     in_parallel_ = true;
-    runBlocks(*pool_, range, chunk, opt_.sched,
+    runBlocks(*pool_, range, chunk,
               [&](unsigned t, const LoopBlock& blk) {
                 Frame& tf = frames_[blk.index == nblocks - 1 ? T : t];
                 DoaCtx ctx;
@@ -1180,7 +1195,7 @@ class Interp {
                              iterate);
                 } catch (const DoaCancel&) {
                 }
-                busy_[t] += block_busy;
+                block_cpu_[blk.index] = block_busy;
                 waits_total.fetch_add(ctx.wait_count,
                                       std::memory_order_relaxed);
               });
@@ -1197,8 +1212,7 @@ class Interp {
       region_model = doaSimulate(recs, T, ring, std::max<size_t>(nslots, 1),
                                  chunk, nblocks);
     } else {
-      region_model = 0;
-      for (double b : busy_) region_model = std::max(region_model, b);
+      region_model = replayBlocks(block_cpu_, T);
     }
     return bookRegion(t0, t1, t2, t3, region_model);
   }
@@ -1211,12 +1225,14 @@ class Interp {
   // Region state reused across entries (see prepareFrames): frame slots
   // 0..T-1 per worker plus slot T for the final block, their private
   // buffers (privates_[slot][k] backs plan.privatized[k]), per-block
-  // reduction partials (block-major) and per-worker busy time.
+  // reduction partials (block-major), per-block thread-CPU cost and each
+  // worker's last thread-CPU clock read.
   std::vector<Frame> frames_;
   std::vector<std::vector<std::shared_ptr<ArrayStorage>>> privates_;
   std::vector<RedSlot> red_slots_;
   std::vector<RedPart> partials_;
-  std::vector<double> busy_;
+  std::vector<double> block_cpu_;
+  std::vector<double> cpu_mark_;
   /// Granularity state, read and written only on the dispatching thread.
   std::unordered_map<const ForStmt*, LoopCost> loop_cost_;
   std::mutex sink_mu_;

@@ -28,7 +28,6 @@
 #include "dataflow/loop_plan.h"
 #include "lang/ast.h"
 #include "runtime/elpd.h"
-#include "runtime/scheduler.h"
 #include "runtime/thread_pool.h"
 
 namespace padfa {
@@ -126,8 +125,9 @@ struct InterpStats {
   double total_seconds = 0;
 
   /// Simulated P-processor execution time: wall time with each parallel
-  /// region's cost replaced by max-over-workers thread-CPU busy time plus
-  /// the serial privatization/copy overhead. On a machine with >= P free
+  /// region's cost replaced by the replay of its measured thread-CPU
+  /// block costs (a Doacross region: iteration sync traces) on P
+  /// dedicated workers, plus the serial privatization/copy overhead. On a machine with >= P free
   /// cores this converges to wall time; on fewer cores it models the
   /// paper's multiprocessor (see DESIGN.md).
   double simulated_seconds = 0;
@@ -145,15 +145,16 @@ struct InterpOptions {
   RaceOracle* race = nullptr;
   /// Record per-loop timing.
   bool profile = false;
-  /// Block-scheduling policy and chunk for parallel loops (defaults read
-  /// PADFA_SCHED / PADFA_CHUNK). The block decomposition — and therefore
-  /// every computed value, including floating-point reduction grouping —
-  /// depends only on `chunk`, never on the policy or thread count.
-  SchedPolicy sched = schedPolicyFromEnv();
-  int64_t chunk = schedChunkFromEnv();
-  /// Doacross sliding-window bound (default PADFA_DOACROSS_WINDOW):
-  /// iteration i may not start before iteration i - window completed.
-  int64_t doacross_window = doacrossWindowFromEnv();
+  /// Iterations per scheduler block. 0 selects the automatic rule:
+  /// trip/64 clamped to [1, 4096] for DOALL loops, 1 for Doacross loops
+  /// (pipelining wants fine grain). The block decomposition — and
+  /// therefore every computed value, including floating-point reduction
+  /// grouping — depends only on `chunk`, never on the thread count or on
+  /// inline or pooled execution.
+  int64_t chunk = 0;
+  /// Doacross sliding-window bound (min 2): iteration i may not start
+  /// before iteration i - window completed.
+  int64_t doacross_window = 64;
 };
 
 /// Execute `main` of an analyzed program. Throws RuntimeError on runtime

@@ -1,10 +1,16 @@
 #include "runtime/elpd.h"
 
+#include <algorithm>
+
 namespace padfa {
 
 void ElpdCollector::loopEnter(const ForStmt* loop) {
   auto it = instrumented_.find(loop);
   if (it == instrumented_.end()) return;
+  // LPD judges each invocation on its own: marks of an earlier
+  // invocation fall below the new base and read as "never". Verdict
+  // flags keep accumulating across invocations.
+  it->second.base = it->second.next_base;
   it->second.cur_iter = -1;
   active_.push_back(&it->second);
 }
@@ -13,6 +19,8 @@ void ElpdCollector::loopIterStart(const ForStmt* loop, int64_t iter) {
   auto it = instrumented_.find(loop);
   if (it == instrumented_.end()) return;
   it->second.cur_iter = iter;
+  it->second.next_base =
+      std::max(it->second.next_base, it->second.base + iter + 1);
   it->second.executed = true;
 }
 
@@ -31,9 +39,10 @@ void ElpdCollector::recordAccess(const void* buffer, size_t flat_index,
     ++total_accesses_;
     Shadow& sh = ls->shadows[buffer];
     sh.ensure(buffer_size);
-    int64_t it = ls->cur_iter;
+    int64_t it = ls->base + ls->cur_iter;
+    auto mark = [ls](int64_t m) { return m >= ls->base ? m : -1; };
     if (is_write) {
-      if (sh.first_write[flat_index] == -1) {
+      if (mark(sh.first_write[flat_index]) == -1) {
         sh.first_write[flat_index] = it;
       } else if (sh.first_write[flat_index] != it ||
                  sh.last_write[flat_index] != it) {
@@ -42,11 +51,11 @@ void ElpdCollector::recordAccess(const void* buffer, size_t flat_index,
       sh.last_write[flat_index] = it;
       // A write in a different iteration than a recorded read is a
       // conflict (anti/output dependence) — privatization may fix it.
-      if (sh.any_read[flat_index] != -1 && sh.any_read[flat_index] != it)
-        ls->conflict = true;
+      int64_t ar = mark(sh.any_read[flat_index]);
+      if (ar != -1 && ar != it) ls->conflict = true;
     } else {
       sh.any_read[flat_index] = it;
-      int64_t lw = sh.last_write[flat_index];
+      int64_t lw = mark(sh.last_write[flat_index]);
       if (lw != -1 && lw != it) {
         ls->conflict = true;
         // Read of a value produced by an earlier iteration, and this

@@ -59,6 +59,10 @@ class ElpdCollector {
   uint64_t totalAccesses() const { return total_accesses_; }
 
  private:
+  // Marks are iteration stamps: the invocation's base plus the
+  // iteration ordinal. A mark below the current invocation's base was
+  // left by an earlier invocation and reads as "never", so re-entering
+  // a loop judges it afresh without clearing its shadows.
   struct Shadow {
     // Per element, -1 = never.
     std::vector<int64_t> first_write;
@@ -78,6 +82,8 @@ class ElpdCollector {
     bool flow = false;
     uint64_t accesses = 0;
     int64_t cur_iter = -1;
+    int64_t base = 0;       // stamp of this invocation's iteration 0
+    int64_t next_base = 0;  // one past the highest stamp handed out
     std::map<const void*, Shadow> shadows;
   };
 

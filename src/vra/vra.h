@@ -101,7 +101,6 @@ class RangeAnalysis {
   static Proof proveIn(const RangeEnv& env, const Pred& p);
 
  private:
-  void analyzeProc(const ProcDecl& proc, RangeEnv env);
   RangeEnv transferBlock(const BlockStmt& block, RangeEnv env, bool record);
   RangeEnv transferStmt(const Stmt& stmt, RangeEnv env, bool record);
   RangeEnv transferFor(const ForStmt& loop, RangeEnv env, bool record);

@@ -65,7 +65,7 @@ const LoopPlan* planAtLine(const CompiledProgram& cp, uint32_t line) {
 
 uint64_t bits(double v) { return std::bit_cast<uint64_t>(v); }
 
-/// Runs under the ambient PADFA_SCHED / PADFA_CHUNK defaults.
+/// Runs with the automatic chunk.
 InterpStats run(const CompiledProgram& cp, const AnalysisResult* plans,
                 unsigned threads) {
   InterpOptions opt;
@@ -75,11 +75,10 @@ InterpStats run(const CompiledProgram& cp, const AnalysisResult* plans,
 }
 
 InterpStats runWith(const CompiledProgram& cp, unsigned threads,
-                    SchedPolicy sched, int64_t chunk) {
+                    int64_t chunk) {
   InterpOptions opt;
   opt.plans = &cp.pred;
   opt.num_threads = threads;
-  opt.sched = sched;
   opt.chunk = chunk;
   return execute(*cp.program, opt);
 }
@@ -98,27 +97,21 @@ TEST(Granularity, ProgramHasTheIntendedPlans) {
   EXPECT_EQ(cp.interner().str(coarse->copy_out_scalars[0]->name), "last");
 }
 
-TEST(Granularity, BitIdenticalAcrossPoliciesThreadsAndPaths) {
+TEST(Granularity, BitIdenticalAcrossThreadsAndPaths) {
   // For a fixed chunk the block decomposition fixes every value, whether
   // a region runs pooled or inline: checksums must agree bit for bit
-  // across policies and thread counts. Across chunks only reduction
-  // grouping changes, so those agree with sequential within rounding.
-  const SchedPolicy policies[] = {SchedPolicy::Static, SchedPolicy::Dynamic,
-                                  SchedPolicy::Guided, SchedPolicy::Steal};
+  // across thread counts. Across chunks only reduction grouping changes,
+  // so those agree with sequential within rounding.
   for (const char* sink : {"chk", "last", "x", "work[3] + work[12]"}) {
     CompiledProgram cp = compileWithSink(sink);
     const double seq = run(cp, nullptr, 1).checksum;
     for (int64_t chunk : {int64_t{0}, int64_t{1}, int64_t{7}}) {
-      const double want =
-          runWith(cp, 1, SchedPolicy::Static, chunk).checksum;
+      const double want = runWith(cp, 1, chunk).checksum;
       EXPECT_NEAR(want, seq, 1e-9 * (std::fabs(seq) + 1)) << sink;
-      for (SchedPolicy pol : policies) {
-        for (unsigned threads : {1u, 2u, 8u}) {
-          InterpStats st = runWith(cp, threads, pol, chunk);
-          EXPECT_EQ(bits(st.checksum), bits(want))
-              << "sink(" << sink << ") policy=" << schedPolicyName(pol)
-              << " T=" << threads << " chunk=" << chunk;
-        }
+      for (unsigned threads : {1u, 2u, 8u}) {
+        InterpStats st = runWith(cp, threads, chunk);
+        EXPECT_EQ(bits(st.checksum), bits(want))
+            << "sink(" << sink << ") T=" << threads << " chunk=" << chunk;
       }
     }
   }

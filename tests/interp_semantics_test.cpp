@@ -5,6 +5,7 @@
 
 #include <cmath>
 
+#include "audit/race_oracle.h"
 #include "dataflow/analysis.h"
 #include "interp/interp.h"
 #include "lang/parser.h"
@@ -105,6 +106,44 @@ proc main() {
 }
 )"),
                    10 + 8 + 6 + 4 + 2);
+}
+
+TEST(Semantics, LoopsEndingAtInt64Limits) {
+  // The last iteration sits at the int64 limit, where an index stepped
+  // past the bound before the bound test overflows and never fails it.
+  // Each loop runs exactly 3 iterations on every execution path.
+  for (const char* src : {R"(
+proc main() {
+  int c; c = 0;
+  for i = 9223372036854775805 to 9223372036854775807 { c = c + 1; }
+  sink(c);
+}
+)",
+                          R"(
+proc main() {
+  int c; c = 0;
+  for i = -9223372036854775806 to -9223372036854775807 - 1 step -1 {
+    c = c + 1;
+  }
+  sink(c);
+}
+)"}) {
+    Prog p = build(src);
+    EXPECT_EQ(execute(*p.program, {}).checksum, 3.0) << src;
+    for (unsigned threads : {1u, 4u}) {
+      InterpOptions opt;
+      opt.plans = &p.pred;
+      opt.num_threads = threads;
+      EXPECT_EQ(execute(*p.program, opt).checksum, 3.0)
+          << src << "T=" << threads;
+    }
+    RaceOracle oracle(*p.program, p.pred);
+    InterpOptions race;
+    race.plans = &p.pred;
+    race.race = &oracle;
+    EXPECT_EQ(execute(*p.program, race).checksum, 3.0) << src;
+    EXPECT_EQ(oracle.violationCount(), 0u) << src;
+  }
 }
 
 TEST(Semantics, ZeroTripLoops) {

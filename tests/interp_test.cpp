@@ -405,5 +405,29 @@ proc main() {
   EXPECT_FALSE(r2.collector.verdict(r2.loop).parallelizable());
 }
 
+TEST(Elpd, ReenteredLoopJudgedPerInvocation) {
+  // Each invocation of the inner loop (line 6) touches one element per
+  // iteration, but every invocation shifts the elements down by one:
+  // judged against the previous invocation's marks, iteration i would
+  // seem to read what iteration i - 1 wrote. The outer loop (line 5)
+  // really carries that flow.
+  const char* src = R"(
+proc main() {
+  real a[64]; int idx[8];
+  for i = 0 to 7 { idx[i] = i; }
+  for j = 0 to 3 {
+    for i = 0 to 7 { a[idx[i] - j + 8] = a[idx[i] - j + 8] + noise(i); }
+  }
+  sink(a[9]);
+}
+)";
+  auto inner = elpdOn(src, 6);
+  auto v = inner.collector.verdict(inner.loop);
+  EXPECT_TRUE(v.executed);
+  EXPECT_TRUE(v.independent());
+  auto outer = elpdOn(src, 5);
+  EXPECT_TRUE(outer.collector.verdict(outer.loop).flow);
+}
+
 }  // namespace
 }  // namespace padfa
