@@ -51,18 +51,19 @@ class Analyzer {
 
     for (ProcDecl* proc : bottomUpProcOrder(program_)) {
       cur_proc_ = proc;
-      // Incremental replay: an unchanged procedure's finalized summary is
-      // loaded from the store instead of recomputed. The load callback
-      // recreates the summary's VarIds in vt_ in cold-run order, so the
-      // ids handed to later (re-analyzed) procedures line up with a cold
-      // run of the same source. Replayed procedures get no plans here —
-      // the incremental driver merges the persisted plans — so
-      // degradeUnplannedLoops must not touch their loops.
+      // Incremental replay: an unchanged procedure's finalized summary
+      // and plans are loaded from the store instead of recomputed. The
+      // load callback recreates the summary's VarIds in vt_ in cold-run
+      // order, so the ids handed to later (re-analyzed) procedures line
+      // up with a cold run of the same source.
       bool replayed = false;
       if (!degrade_rest_ && cfg_.preload && cfg_.preload->replay.count(proc)) {
         RegionSummary s;
-        if (cfg_.preload->load(proc, vt_, s)) {
+        std::vector<LoopPlan> plans;
+        if (cfg_.preload->load(proc, vt_, s, plans)) {
           proc_summaries_[proc] = std::move(s);
+          for (LoopPlan& plan : plans)
+            result_.plans[plan.loop] = std::move(plan);
           if (cfg_.preload->replayed) cfg_.preload->replayed->insert(proc);
           replayed = true;
         }
@@ -86,10 +87,10 @@ class Analyzer {
       }
       if (proc_summaries_[proc].has_sink) tree_sink_.insert(proc);
       // Loops skipped by a conservative fallback get degraded plans.
-      if (!replayed) degradeUnplannedLoops(*proc->body);
+      degradeUnplannedLoops(*proc->body);
     }
 
-    if (cfg_.export_summaries) {
+    if (cfg_.preload) {
       result_.proc_summaries = std::move(proc_summaries_);
       result_.vars.decls.resize(vt_.size());
       for (pb::VarId v = 0; v < vt_.size(); ++v) {

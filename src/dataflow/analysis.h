@@ -10,6 +10,7 @@
 #include <functional>
 #include <memory>
 #include <set>
+#include <vector>
 
 #include "dataflow/loop_plan.h"
 #include "dataflow/summary.h"
@@ -21,16 +22,21 @@ namespace padfa {
 
 /// Replay hook for incremental re-analysis (ipa/incremental.h). When
 /// installed, a procedure in `replay` is not analyzed: its finalized
-/// summary comes from `load`, which must recreate the summary's VarIds in
-/// the analyzer's VarTable in cold-run creation order (the deep codec's
-/// variable preamble does this). Loops of a successfully replayed
-/// procedure receive no plans from the analyzer — the caller merges the
-/// persisted plans afterwards. A `load` failure falls back to full
-/// analysis of that procedure, so replay is never load-bearing for
+/// summary and its loops' plans come from `load`, which must recreate
+/// the summary's VarIds in the analyzer's VarTable in cold-run creation
+/// order (the deep codec's variable preamble does this). The loaded
+/// plans enter the result as they are. A `load` failure falls back to
+/// full analysis of that procedure, so replay is never load-bearing for
 /// soundness, only for speed.
+///
+/// Installing a preload also exports the finalized per-procedure
+/// summaries and the VarTable view into AnalysisResult
+/// (proc_summaries/vars), so the caller can persist fresh procedures.
 struct SummaryPreload {
   std::set<const ProcDecl*> replay;
-  std::function<bool(const ProcDecl*, VarTable&, RegionSummary&)> load;
+  std::function<bool(const ProcDecl*, VarTable&, RegionSummary&,
+                     std::vector<LoopPlan>&)>
+      load;
   /// Out-param: the procedures whose summaries actually replayed.
   std::set<const ProcDecl*>* replayed = nullptr;
 };
@@ -64,11 +70,6 @@ struct AnalysisConfig {
   /// Optional summary-replay hook (see SummaryPreload). Not owned; must
   /// outlive the analyzeProgram() call.
   const SummaryPreload* preload = nullptr;
-  /// Export finalized per-procedure summaries and the VarTable view into
-  /// AnalysisResult (proc_summaries/vars) so the store can serialize
-  /// them. Off by default: the export copies nothing but keeps the
-  /// summaries alive past the analysis.
-  bool export_summaries = false;
 
   static AnalysisConfig baseline() {
     return {false, false, false, false, false};

@@ -138,8 +138,8 @@ struct LoopPlan {
 };
 
 /// VarId-indexed view of the analyzer's VarTable, exported for the deep
-/// summary codec (store/deep_codec.h) when
-/// AnalysisConfig::export_summaries is set.
+/// summary codec (store/deep_codec.h) when AnalysisConfig::preload is
+/// installed.
 struct ExportedVarTable {
   /// VarId -> program decl; null for subscript dims and synthetic vars.
   std::vector<const VarDecl*> decls;
@@ -162,7 +162,7 @@ struct AnalysisResult {
   std::map<const ProcDecl*, std::set<const ProcDecl*>> summary_deps;
 
   /// Finalized per-procedure summaries + the VarTable view needed to
-  /// serialize them; filled only when AnalysisConfig::export_summaries.
+  /// serialize them; filled only when AnalysisConfig::preload is set.
   std::map<const ProcDecl*, RegionSummary> proc_summaries;
   ExportedVarTable vars;
 

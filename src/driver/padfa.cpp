@@ -19,21 +19,39 @@ std::optional<CompiledProgram> compileSource(const std::string& source,
 std::optional<CompiledProgram> compileSource(const std::string& source,
                                              DiagEngine& diags,
                                              const BudgetLimits& budget) {
+  auto cp = runFrontend(source, diags);
+  if (!cp) return std::nullopt;
+  runAnalysisPair(*cp, budget);
+  runRefinement(*cp, budget);
+  return cp;
+}
+
+std::optional<CompiledProgram> runFrontend(const std::string& source,
+                                           DiagEngine& diags) {
   auto program = parseProgram(source, diags);
   if (!program) return std::nullopt;
   if (!analyze(*program, diags)) return std::nullopt;
   CompiledProgram cp;
   cp.loops = LoopTree::build(*program);
+  cp.program = std::move(program);
+  return cp;
+}
+
+void runAnalysisPair(CompiledProgram& cp, const BudgetLimits& budget,
+                     const SummaryPreload* base_preload,
+                     const SummaryPreload* pred_preload) {
   // The two analyses are independent reads of the immutable Program:
   // each installs its own thread-local AnalysisBudget, so they can run
   // concurrently. Baseline goes to the pool (inline when already on a
   // pool worker — e.g. program-parallel corpus drivers); predicated,
   // typically the more expensive of the pair, runs on the caller.
-  Program& prog = *program;
+  Program& prog = *cp.program;
   AnalysisConfig base_cfg = AnalysisConfig::baseline();
   base_cfg.budget = budget;
+  base_cfg.preload = base_preload;
   AnalysisConfig pred_cfg = AnalysisConfig::predicated();
   pred_cfg.budget = budget;
+  pred_cfg.preload = pred_preload;
   std::future<AnalysisResult> base_fut = analysisPool().submit(
       [&prog, base_cfg] { return analyzeProgram(prog, base_cfg); });
   cp.pred = analyzeProgram(prog, pred_cfg);
@@ -52,6 +70,9 @@ std::optional<CompiledProgram> compileSource(const std::string& source,
     pplan.degraded = true;
     pplan.degrade_cause = std::move(cause);
   }
+}
+
+void runRefinement(CompiledProgram& cp, const BudgetLimits& budget) {
   // Doacross upgrade + value-range promotion: run last (after the ladder,
   // and in the incremental path after persistence) so stored plans are
   // always pre-upgrade and warm replays stay byte-identical — see
@@ -59,6 +80,7 @@ std::optional<CompiledProgram> compileSource(const std::string& source,
   // skipped under a governed budget: plans may then be degraded
   // fallbacks, and refinement of a degraded run must stay inert so the
   // degradation ladder's output is the final word.
+  Program& prog = *cp.program;
   std::unique_ptr<vra::RangeAnalysis> ranges;
   if (!BudgetLimits::fromEnv(budget).governed() && vra::vraEnabled())
     ranges = std::make_unique<vra::RangeAnalysis>(prog);
@@ -66,8 +88,6 @@ std::optional<CompiledProgram> compileSource(const std::string& source,
       ranges && ranges->enabled() ? ranges.get() : nullptr;
   upgradeDoacrossPlans(prog, cp.pred, rp);
   if (rp) applyVraPromotions(prog, cp.pred, *rp);
-  cp.program = std::move(program);
-  return cp;
 }
 
 std::string renderPlanReport(const CompiledProgram& cp) {

@@ -47,6 +47,30 @@ std::optional<CompiledProgram> compileSource(const std::string& source,
                                              DiagEngine& diags,
                                              const BudgetLimits& budget);
 
+// The compile pipeline's stages, in order. compileSource() runs them
+// back to back; ipa::compileSourceIncremental() runs the same three,
+// probing its store before the analysis pair and persisting between the
+// pair and refinement (so the store only ever sees pre-refinement
+// plans).
+
+/// Stage 1, frontend: parse, sema, loop tree. Returns nullopt and fills
+/// `diags` on frontend errors; otherwise `program` and `loops` are set.
+std::optional<CompiledProgram> runFrontend(const std::string& source,
+                                           DiagEngine& diags);
+
+/// Stage 2, analysis pair: baseline on analysisPool() concurrently with
+/// predicated on the caller, then the degradation ladder. A non-null
+/// preload replays that analysis kind's stored procedures (see
+/// SummaryPreload); the replayed plans are in `cp` before the ladder.
+void runAnalysisPair(CompiledProgram& cp, const BudgetLimits& budget,
+                     const SummaryPreload* base_preload = nullptr,
+                     const SummaryPreload* pred_preload = nullptr);
+
+/// Stage 3, refinement: the Doacross upgrade, then value-range
+/// promotion of the predicated plans. Value ranges are skipped under a
+/// governed budget, and the upgrade never touches a degraded plan.
+void runRefinement(CompiledProgram& cp, const BudgetLimits& budget);
+
 /// Render the `mfc report` table (per loop: depth, base/predicated
 /// status, notes, plus the degradation trailer) to a string — shared by
 /// the CLI and the daemon's `report` responses, which must be

@@ -14,18 +14,6 @@ void appendDecl(std::string& out, const VarDecl* d) {
   out += std::to_string(d->uid);
 }
 
-void appendLoopEntry(std::string& out, const CompiledProgram& cp,
-                     const LoopNode* node) {
-  out += node->loop->loop_id;
-  out += " outcome=";
-  out += loopOutcomeName(classifyLoop(cp, node->loop));
-  out += "\n  base: ";
-  appendPlanSignature(out, cp.base.planFor(node->loop));
-  out += "\n  pred: ";
-  appendPlanSignature(out, cp.pred.planFor(node->loop));
-  out += '\n';
-}
-
 }  // namespace
 
 void appendPlanSignature(std::string& out, const LoopPlan* p) {
@@ -92,24 +80,16 @@ void appendPlanSignature(std::string& out, const LoopPlan* p) {
 
 std::string planSignature(const CompiledProgram& cp) {
   std::string out;
-  for (const LoopNode* node : cp.loops.allLoops())
-    appendLoopEntry(out, cp, node);
-  out += planTelemetrySignature(cp);
-  return out;
-}
-
-std::string procPlanSignature(const CompiledProgram& cp,
-                              const ProcDecl* proc) {
-  std::string out;
   for (const LoopNode* node : cp.loops.allLoops()) {
-    if (node->proc != proc) continue;
-    appendLoopEntry(out, cp, node);
+    out += node->loop->loop_id;
+    out += " outcome=";
+    out += loopOutcomeName(classifyLoop(cp, node->loop));
+    out += "\n  base: ";
+    appendPlanSignature(out, cp.base.planFor(node->loop));
+    out += "\n  pred: ";
+    appendPlanSignature(out, cp.pred.planFor(node->loop));
+    out += '\n';
   }
-  return out;
-}
-
-std::string planTelemetrySignature(const CompiledProgram& cp) {
-  std::string out;
   for (const AnalysisResult* ar : {&cp.base, &cp.pred}) {
     out += ar == &cp.base ? "base" : "pred";
     out += " degraded_globally=";

@@ -11,8 +11,8 @@
 // produce byte-equal signatures iff they produced the same plans.
 //
 // Consumers: the cache/thread coherence test, the persistent summary
-// store (per-procedure plan records are keyed by source content hash
-// and carry these bytes), the mfcd daemon (responses embed the
+// store (one `signature` response record per source, keyed by content
+// hash, carries these bytes), the mfcd daemon (responses embed the
 // signature so clients can verify equivalence with a local run), and
 // the crash-recovery fault-injection suites.
 #pragma once
@@ -28,15 +28,5 @@ void appendPlanSignature(std::string& out, const LoopPlan* plan);
 
 /// Whole-program signature: every loop in LoopTree order + telemetry.
 std::string planSignature(const CompiledProgram& cp);
-
-/// The per-procedure slice of planSignature(): only loops belonging to
-/// `proc`, without the program-level telemetry trailer. Concatenating
-/// the slices in Program::procs order and appending
-/// planTelemetrySignature() reconstitutes planSignature() exactly.
-std::string procPlanSignature(const CompiledProgram& cp,
-                              const ProcDecl* proc);
-
-/// The degradation-telemetry trailer of planSignature().
-std::string planTelemetrySignature(const CompiledProgram& cp);
 
 }  // namespace padfa

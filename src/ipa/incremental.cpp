@@ -5,12 +5,9 @@
 #include <map>
 #include <set>
 
-#include "dataflow/doacross.h"
-#include "dataflow/vra_promote.h"
 #include "driver/plan_signature.h"
 #include "ipa/callgraph.h"
 #include "ipa/fingerprint.h"
-#include "runtime/thread_pool.h"
 #include "store/deep_codec.h"
 #include "support/perf_stats.h"
 
@@ -18,13 +15,12 @@ namespace padfa::ipa {
 
 namespace {
 
-
 /// Replay state for one analysis kind (base or pred). The two kinds run
 /// concurrently over the same immutable Program; each KindState is
-/// written only during single-threaded setup and then read by exactly
-/// one analysis thread (plus its own `replayed` out-set).
+/// filled during single-threaded setup and then used by exactly one
+/// analysis thread (its `load` hands the plans over, and it fills its
+/// own `replayed` out-set).
 struct KindState {
-  uint8_t kind = store::kDeepKindBase;
   /// Replay candidates: store bytes that decoded cleanly against the
   /// fresh AST, plus the pre-decoded (rebound) plans.
   std::map<const ProcDecl*, std::string> bytes;
@@ -37,11 +33,11 @@ struct KindState {
 /// whose plan half decodes against the new AST (a decode failure is
 /// treated as a miss — the procedure just stays dirty).
 void prepareKind(KindState& st, uint8_t kind, const Program& program,
-                 const CallGraph& cg, const ProcFingerprints& fps,
+                 const ProcFingerprints& fps,
                  const store::SummaryStore& store, uint64_t& hits,
                  uint64_t& misses) {
-  st.kind = kind;
-  for (const ProcDecl* proc : cg.procs()) {
+  for (const auto& p : program.procs) {
+    const ProcDecl* proc = p.get();
     auto rec = store.getDeepProc(fps.deep.at(proc), kind);
     if (!rec) {
       ++misses;
@@ -60,28 +56,25 @@ void prepareKind(KindState& st, uint8_t kind, const Program& program,
   for (const auto& [proc, bytes] : st.bytes) st.preload.replay.insert(proc);
   st.preload.replayed = &st.replayed;
   st.preload.load = [&program, &st](const ProcDecl* proc, VarTable& vt,
-                                    RegionSummary& out) {
+                                    RegionSummary& out,
+                                    std::vector<LoopPlan>& plans) {
     std::string err;
-    return store::decodeDeepProcSummary(program, *proc, st.bytes.at(proc),
-                                        vt, out, err);
+    if (!store::decodeDeepProcSummary(program, *proc, st.bytes.at(proc), vt,
+                                      out, err))
+      return false;
+    plans = std::move(st.plans.at(proc));
+    return true;
   };
-}
-
-/// Insert the pre-decoded plans of every procedure that actually
-/// replayed (the analyzer leaves those loops plan-less).
-void mergeReplayedPlans(AnalysisResult& result, KindState& st) {
-  for (const ProcDecl* proc : st.replayed)
-    for (LoopPlan& plan : st.plans[proc])
-      result.plans[plan.loop] = std::move(plan);
 }
 
 /// Persist fresh records for procedures whose (deep_fp, kind) key is not
 /// in the store yet. encodeDeepProc is fail-soft: degraded or otherwise
 /// non-rebindable state is simply not persisted.
 void persistKind(const Program& program, const AnalysisResult& result,
-                 const CallGraph& cg, const ProcFingerprints& fps,
-                 uint8_t kind, store::SummaryStore& store) {
-  for (const ProcDecl* proc : cg.procs()) {
+                 const ProcFingerprints& fps, uint8_t kind,
+                 store::SummaryStore& store) {
+  for (const auto& p : program.procs) {
+    const ProcDecl* proc = p.get();
     uint64_t fp = fps.deep.at(proc);
     if (store.getDeepProc(fp, kind)) continue;
     auto sit = result.proc_summaries.find(proc);
@@ -138,86 +131,47 @@ void checkColdEquivalence(const std::string& source,
 std::optional<CompiledProgram> compileSourceIncremental(
     const std::string& source, DiagEngine& diags, const BudgetLimits& limits,
     store::SummaryStore& store, IncrementalInfo* info) {
+  auto cp = runFrontend(source, diags);
+  if (!cp) return std::nullopt;
+  const Program& prog = *cp->program;
+
   // Replay and persist are only sound for ungoverned, cache-enabled
-  // compiles (same contract as the daemon's warm path); otherwise run
-  // the plain pipeline.
-  if (BudgetLimits::fromEnv(limits).governed() || !cachesEnabled()) {
-    auto cp = compileSource(source, diags, limits);
-    if (cp && info) {
-      info->procs_total = cp->program->procs.size();
-      info->procs_analyzed = info->procs_total;
-      for (const auto& p : cp->program->procs)
-        info->dirty.emplace_back(cp->interner().str(p->name));
-    }
-    return cp;
-  }
-
-  auto program = parseProgram(source, diags);
-  if (!program) return std::nullopt;
-  if (!analyze(*program, diags)) return std::nullopt;
-
-  CallGraph cg = CallGraph::build(*program);
-  ProcFingerprints fps = fingerprintProgram(*program, cg);
-
-  uint64_t fp_hits = 0, fp_misses = 0;
+  // compiles (same contract as the daemon's warm path); otherwise the
+  // same stages run without the probe and the persist, and every
+  // procedure counts as analyzed.
+  const bool incremental =
+      !BudgetLimits::fromEnv(limits).governed() && cachesEnabled();
+  ProcFingerprints fps;
   KindState base_st, pred_st;
-  prepareKind(base_st, store::kDeepKindBase, *program, cg, fps, store,
-              fp_hits, fp_misses);
-  prepareKind(pred_st, store::kDeepKindPred, *program, cg, fps, store,
-              fp_hits, fp_misses);
-
-  CompiledProgram cp;
-  cp.loops = LoopTree::build(*program);
-  Program& prog = *program;
-  AnalysisConfig base_cfg = AnalysisConfig::baseline();
-  base_cfg.budget = limits;
-  base_cfg.preload = &base_st.preload;
-  base_cfg.export_summaries = true;
-  AnalysisConfig pred_cfg = AnalysisConfig::predicated();
-  pred_cfg.budget = limits;
-  pred_cfg.preload = &pred_st.preload;
-  pred_cfg.export_summaries = true;
-  std::future<AnalysisResult> base_fut = analysisPool().submit(
-      [&prog, &base_cfg] { return analyzeProgram(prog, base_cfg); });
-  cp.pred = analyzeProgram(prog, pred_cfg);
-  cp.base = base_fut.get();
-
-  mergeReplayedPlans(cp.base, base_st);
-  mergeReplayedPlans(cp.pred, pred_st);
-
-  // Same degradation ladder as compileSource(): a degraded predicated
-  // plan falls back to an undegraded baseline plan for the same loop.
-  for (auto& [loop, pplan] : cp.pred.plans) {
-    if (!pplan.degraded) continue;
-    const LoopPlan* bplan = cp.base.planFor(loop);
-    if (!bplan || bplan->degraded) continue;
-    std::string cause = std::move(pplan.degrade_cause);
-    pplan = *bplan;
-    pplan.degraded = true;
-    pplan.degrade_cause = std::move(cause);
+  uint64_t fp_hits = 0, fp_misses = 0;
+  if (incremental) {
+    fps = fingerprintProgram(prog, CallGraph::build(prog));
+    prepareKind(base_st, store::kDeepKindBase, prog, fps, store, fp_hits,
+                fp_misses);
+    prepareKind(pred_st, store::kDeepKindPred, prog, fps, store, fp_hits,
+                fp_misses);
   }
 
-  persistKind(prog, cp.base, cg, fps, store::kDeepKindBase, store);
-  persistKind(prog, cp.pred, cg, fps, store::kDeepKindPred, store);
+  runAnalysisPair(*cp, limits, incremental ? &base_st.preload : nullptr,
+                  incremental ? &pred_st.preload : nullptr);
 
-  // Doacross upgrade + value-range promotion after persistence: the
-  // store only ever sees pre-upgrade plans, so warm replays re-derive
-  // the same upgrades and promotions a cold run would (see
-  // dataflow/doacross.h, dataflow/vra_promote.h). This path only runs
-  // ungoverned (the governed case bailed to plain compileSource above),
-  // matching the driver's skip-refinement-when-governed rule.
-  std::unique_ptr<vra::RangeAnalysis> ranges;
-  if (vra::vraEnabled()) ranges = std::make_unique<vra::RangeAnalysis>(prog);
-  const vra::RangeAnalysis* rp =
-      ranges && ranges->enabled() ? ranges.get() : nullptr;
-  upgradeDoacrossPlans(prog, cp.pred, rp);
-  if (rp) applyVraPromotions(prog, cp.pred, *rp);
+  // Persist before refinement: the store only ever sees pre-upgrade
+  // plans, so warm replays re-derive the same Doacross upgrades and VRA
+  // promotions a cold run would (see dataflow/doacross.h,
+  // dataflow/vra_promote.h).
+  if (incremental) {
+    persistKind(prog, cp->base, fps, store::kDeepKindBase, store);
+    persistKind(prog, cp->pred, fps, store::kDeepKindPred, store);
+  }
+
+  runRefinement(*cp, limits);
 
   size_t replayed_both = 0;
   std::vector<std::string> dirty_names, replayed_names;
-  for (const ProcDecl* proc : cg.procs()) {
-    bool full = base_st.replayed.count(proc) && pred_st.replayed.count(proc);
-    std::string name(prog.interner.str(proc->name));
+  for (const auto& p : prog.procs) {
+    bool full = base_st.replayed.count(p.get()) &&
+                pred_st.replayed.count(p.get());
+    std::string name(prog.interner.str(p->name));
     if (full) {
       ++replayed_both;
       replayed_names.push_back(std::move(name));
@@ -226,34 +180,34 @@ std::optional<CompiledProgram> compileSourceIncremental(
     }
   }
 
-  auto& counters = PerfStats::instance().incremental;
-  counters.runs.fetch_add(1, std::memory_order_relaxed);
-  counters.procs_analyzed.fetch_add(dirty_names.size(),
-                                    std::memory_order_relaxed);
-  counters.procs_replayed.fetch_add(replayed_both,
-                                    std::memory_order_relaxed);
-  counters.fingerprint_hits.fetch_add(fp_hits, std::memory_order_relaxed);
-  counters.fingerprint_misses.fetch_add(fp_misses,
-                                        std::memory_order_relaxed);
-  counters.last_dirty_size.store(dirty_names.size(),
-                                 std::memory_order_relaxed);
+  if (incremental) {
+    auto& counters = PerfStats::instance().incremental;
+    counters.runs.fetch_add(1, std::memory_order_relaxed);
+    counters.procs_analyzed.fetch_add(dirty_names.size(),
+                                      std::memory_order_relaxed);
+    counters.procs_replayed.fetch_add(replayed_both,
+                                      std::memory_order_relaxed);
+    counters.fingerprint_hits.fetch_add(fp_hits, std::memory_order_relaxed);
+    counters.fingerprint_misses.fetch_add(fp_misses,
+                                          std::memory_order_relaxed);
+    counters.last_dirty_size.store(dirty_names.size(),
+                                   std::memory_order_relaxed);
+  }
 
   if (info) {
-    info->procs_total = cg.procs().size();
+    info->procs_total = prog.procs.size();
     info->procs_replayed = replayed_both;
     info->procs_analyzed = dirty_names.size();
     info->dirty = std::move(dirty_names);
     info->replayed = std::move(replayed_names);
     info->fingerprint_hits = fp_hits;
     info->fingerprint_misses = fp_misses;
-    info->incremental = true;
+    info->incremental = incremental;
   }
-
-  cp.program = std::move(program);
 
   const char* check = std::getenv("PADFA_IPA_CHECK");
   if (check && *check && replayed_both > 0)
-    checkColdEquivalence(source, limits, cp);
+    checkColdEquivalence(source, limits, *cp);
 
   return cp;
 }

@@ -2,15 +2,23 @@
 // the mfcd daemon (and anything else driving compileSource repeatedly
 // over evolving sources).
 //
-// The pipeline per request:
+// The pipeline per request is compileSource()'s three stages
+// (driver/padfa.h) with the store around the analysis pair:
 //
-//   parse + sema  ->  call graph (ipa/callgraph.h)
-//                 ->  per-procedure content fingerprints (ipa/fingerprint.h)
-//                 ->  per (procedure, analysis kind): look up the *deep*
-//                     fingerprint in the persistent store
-//                 ->  hit: decode the procedure's finalized summary and
-//                     plans (store/deep_codec.h) and REPLAY them;
-//                     miss: the procedure is dirty — re-analyze it.
+//   frontend       parse + sema + loop tree
+//   probe          call graph (ipa/callgraph.h) -> per-procedure content
+//                  fingerprints (ipa/fingerprint.h) -> per (procedure,
+//                  analysis kind): look up the *deep* fingerprint in the
+//                  persistent store. Hit: the analysis pair loads the
+//                  procedure's finalized summary and plans
+//                  (store/deep_codec.h) instead of analyzing it; miss:
+//                  the procedure is dirty — re-analyze it.
+//   analysis pair  base || predicated, then the degradation ladder
+//   persist        fresh, pre-refinement procedure records -> store
+//   refinement     Doacross upgrade + VRA promotion
+//
+// Under a governed budget or with caches off, probe and persist are
+// skipped and the stages run as in compileSource().
 //
 // Because the deep fingerprint hashes the procedure's canonical text
 // plus its entire callee closure, a store miss is exactly the
@@ -52,18 +60,19 @@ struct IncrementalInfo {
   /// Deep-fingerprint store probes: one per (procedure, kind).
   uint64_t fingerprint_hits = 0;
   uint64_t fingerprint_misses = 0;
-  /// False when the run bypassed replay entirely (governed budget or
-  /// caches disabled) and fell back to a plain cold compile.
+  /// False when the run skipped the probe and the persist (governed
+  /// budget or caches disabled): every procedure was analyzed.
   bool incremental = false;
 };
 
 /// compileSource() with change-impact replay against `store`.
 ///
-/// Matches compileSource(source, diags, limits) exactly in outputs
-/// (same CompiledProgram shape, same degradation ladder, byte-identical
-/// plan signatures); differs only in how much analysis actually runs.
-/// Fresh (non-degraded, ungoverned) procedure records are persisted
-/// back into `store` in memory — the caller decides when to save().
+/// Runs compileSource(source, diags, limits)'s stages, so outputs match
+/// it exactly (same CompiledProgram shape, same degradation ladder,
+/// byte-identical plan signatures); differs only in how much analysis
+/// actually runs. Fresh (non-degraded, ungoverned) procedure records are
+/// persisted back into `store` in memory — the caller decides when to
+/// save().
 std::optional<CompiledProgram> compileSourceIncremental(
     const std::string& source, DiagEngine& diags, const BudgetLimits& limits,
     store::SummaryStore& store, IncrementalInfo* info = nullptr);

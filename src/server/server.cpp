@@ -432,7 +432,7 @@ JsonValue MfcDaemon::handleAnalysis(const Request& r) {
   // is present. Records exist only for ungoverned, undegraded runs of
   // this exact source under this store-format version.
   if (cacheable) {
-    auto sig = store_->assembleSignature(hash);
+    auto sig = store_->getResponse(hash, "signature");
     if (sig) {
       std::optional<std::string> payload = std::make_optional(std::string());
       if (r.cmd != "analyze") payload = store_->getResponse(hash, r.cmd);
@@ -451,14 +451,12 @@ JsonValue MfcDaemon::handleAnalysis(const Request& r) {
   // the incremental engine still replays every procedure whose deep
   // fingerprint (canonical text + callee closure) is in the store, so an
   // edit re-analyzes only the change-impact set. Under a governed budget
-  // or disabled caches this transparently degenerates to a plain cold
-  // compile (compileSourceIncremental enforces the same guard).
+  // or disabled caches it neither replays nor persists
+  // (compileSourceIncremental enforces the same guard as `cacheable`).
   DiagEngine diags;
   ipa::IncrementalInfo inc;
-  auto cp = cacheable
-                ? ipa::compileSourceIncremental(source, diags, limits,
-                                                *store_, &inc)
-                : compileSource(source, diags, limits);
+  auto cp =
+      ipa::compileSourceIncremental(source, diags, limits, *store_, &inc);
   if (!cp) {
     JsonValue e = errorResponse("compile-error", "source does not compile");
     e.set("diagnostics",
@@ -476,15 +474,7 @@ JsonValue MfcDaemon::handleAnalysis(const Request& r) {
     payload = emitParallelProgram(*cp->program, cp->pred, nullptr);
 
   if (cacheable && degraded == 0) {
-    std::string procs;
-    for (const auto& p : cp->program->procs) {
-      std::string name(cp->interner().str(p->name));
-      store_->putProcPlan(hash, name, procPlanSignature(*cp, p.get()));
-      procs += name;
-      procs += '\n';
-    }
-    store_->putResponse(hash, "procs", std::move(procs));
-    store_->putResponse(hash, "telemetry", planTelemetrySignature(*cp));
+    store_->putResponse(hash, "signature", signature);
     if (r.cmd != "analyze") store_->putResponse(hash, r.cmd, payload);
     maybeFlush();
   }

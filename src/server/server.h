@@ -22,9 +22,13 @@
 //      (server default and/or per-request deadline); exhaustion
 //      degrades the affected loops to sound Sequential/baseline plans
 //      and the response says so (`degraded`).
-//   3. Never unbounded memory. Requests are size-capped, the queue is
-//      depth-capped (excess connections are shed with `overloaded`),
-//      and one response per connection bounds socket buffering.
+//   3. Never unbounded memory — not met yet. Requests are size-capped,
+//      the queue is depth-capped (excess connections are shed with
+//      `overloaded`), and one response per connection bounds socket
+//      buffering. But store records are never evicted, so the store
+//      grows with every distinct source and procedure it has served.
+//      It stays unbounded until the store evicts (ROADMAP.md, the
+//      "Serving" item: an LRU over sources under a byte cap).
 //   4. Never a dirty exit. SIGTERM/SIGINT drain in-flight requests and
 //      flush the store via the atomic snapshot path; a SIGKILL loses at
 //      most the un-flushed tail — the next start serves cold for those

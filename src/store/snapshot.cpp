@@ -8,11 +8,6 @@ namespace padfa::store {
 
 namespace {
 
-void putU16(std::string& out, uint16_t v) {
-  out += static_cast<char>(v & 0xFF);
-  out += static_cast<char>((v >> 8) & 0xFF);
-}
-
 void putU32(std::string& out, uint32_t v) {
   for (int i = 0; i < 4; ++i) out += static_cast<char>((v >> (8 * i)) & 0xFF);
 }
@@ -49,13 +44,6 @@ class Cursor {
   bool u8(uint8_t& out) {
     if (remaining() < 1) return false;
     out = static_cast<uint8_t>(p_[off_++]);
-    return true;
-  }
-  bool u16(uint16_t& out) {
-    std::string_view b;
-    if (!bytes(2, b)) return false;
-    out = static_cast<uint16_t>(
-        static_cast<uint8_t>(b[0]) | (static_cast<uint8_t>(b[1]) << 8));
     return true;
   }
   bool u32(uint32_t& out) {
@@ -98,14 +86,6 @@ std::string encodeSnapshot(const StoreData& data) {
     payload += static_cast<char>(value);
     payload += key;
     appendRecord(out, kFeasibilityRecord, payload);
-  }
-  for (const auto& [key, sig] : data.proc_plans) {
-    std::string payload;
-    putU64(payload, key.first);
-    putU16(payload, static_cast<uint16_t>(key.second.size()));
-    payload += key.second;
-    payload += sig;
-    appendRecord(out, kProcPlanRecord, payload);
   }
   for (const auto& [key, body] : data.responses) {
     std::string payload;
@@ -185,21 +165,6 @@ bool decodeSnapshot(std::string_view bytes, StoreData& out, std::string& err) {
           return failDecode(out, err, "empty feasibility key");
         if (!out.feasibility.emplace(std::string(key), value).second)
           return failDecode(out, err, "duplicate feasibility key");
-        break;
-      }
-      case kProcPlanRecord: {
-        uint64_t hash = 0;
-        uint16_t name_len = 0;
-        if (!body.u64(hash) || !body.u16(name_len))
-          return failDecode(out, err, "short proc-plan record");
-        std::string_view name;
-        if (!body.bytes(name_len, name) || name.empty())
-          return failDecode(out, err, "bad proc-plan name");
-        std::string_view sig;
-        body.bytes(body.remaining(), sig);
-        auto key = std::make_pair(hash, std::string(name));
-        if (!out.proc_plans.emplace(std::move(key), std::string(sig)).second)
-          return failDecode(out, err, "duplicate proc-plan record");
         break;
       }
       case kResponseRecord: {

@@ -14,8 +14,6 @@
 //
 // Record types:
 //   0x01 Feasibility  payload = value u8 ++ canonical system key
-//   0x02 ProcPlan     payload = src_hash u64 ++ name_len u16 ++ name
-//                               ++ plan-signature bytes
 //   0x03 Response     payload = src_hash u64 ++ kind_len u8 ++ kind
 //                               ++ response bytes
 //   0x04 DeepProc     payload = deep_fp u64 ++ kind u8
@@ -41,13 +39,14 @@
 namespace padfa::store {
 
 inline constexpr char kMagic[8] = {'P', 'A', 'D', 'F', 'A', 'S', 'N', 'P'};
-/// v2 added the DeepProc record (incremental re-analysis). A v1 snapshot
-/// is quarantined on load — an acceptable one-time cold start.
-inline constexpr uint32_t kFormatVersion = 2;
+/// v2 added the DeepProc record (incremental re-analysis); v3 dropped the
+/// per-procedure ProcPlan record (0x02) for one `signature` Response per
+/// source. An older snapshot is quarantined on load — an acceptable
+/// one-time cold start.
+inline constexpr uint32_t kFormatVersion = 3;
 
 enum RecordType : uint8_t {
   kFeasibilityRecord = 0x01,
-  kProcPlanRecord = 0x02,
   kResponseRecord = 0x03,
   kDeepProcRecord = 0x04,
   kEndRecord = 0xEE,
@@ -58,13 +57,10 @@ enum RecordType : uint8_t {
 struct StoreData {
   /// Canonical Presburger system key -> pb::Feasibility (as raw u8).
   std::map<std::string, uint8_t> feasibility;
-  /// (source content hash, procedure name) -> per-procedure plan
-  /// signature (see driver/plan_signature.h).
-  std::map<std::pair<uint64_t, std::string>, std::string> proc_plans;
   /// (source content hash, kind) -> stored response payload. Kinds in
-  /// use: "report" (rendered table), "emit" (transformed source),
-  /// "procs" (newline-joined procedure names in program order),
-  /// "telemetry" (signature trailer).
+  /// use: "signature" (the whole plan signature, see
+  /// driver/plan_signature.h), "report" (rendered table), "emit"
+  /// (transformed source).
   std::map<std::pair<uint64_t, std::string>, std::string> responses;
   /// (deep content fingerprint, analysis kind) -> deep-codec record bytes
   /// (one procedure's serialized RegionSummary + LoopPlans; see
@@ -75,16 +71,13 @@ struct StoreData {
   std::map<std::pair<uint64_t, uint8_t>, std::string> deep_procs;
 
   bool empty() const {
-    return feasibility.empty() && proc_plans.empty() && responses.empty() &&
-           deep_procs.empty();
+    return feasibility.empty() && responses.empty() && deep_procs.empty();
   }
   size_t recordCount() const {
-    return feasibility.size() + proc_plans.size() + responses.size() +
-           deep_procs.size();
+    return feasibility.size() + responses.size() + deep_procs.size();
   }
   void clear() {
     feasibility.clear();
-    proc_plans.clear();
     responses.clear();
     deep_procs.clear();
   }

@@ -70,7 +70,6 @@ bool SummaryStore::open() {
   } else if (decodeSnapshot(bytes, data_, err)) {
     stats_.loaded = true;
     stats_.loaded_feasibility = data_.feasibility.size();
-    stats_.loaded_plans = data_.proc_plans.size();
     stats_.loaded_responses = data_.responses.size();
     stats_.loaded_deep = data_.deep_procs.size();
     return true;
@@ -122,20 +121,6 @@ std::optional<std::string> SummaryStore::getResponse(
   return it->second;
 }
 
-void SummaryStore::putProcPlan(uint64_t src_hash, const std::string& proc,
-                               std::string signature) {
-  std::lock_guard<std::mutex> lock(mu_);
-  data_.proc_plans[{src_hash, proc}] = std::move(signature);
-}
-
-std::optional<std::string> SummaryStore::getProcPlan(
-    uint64_t src_hash, const std::string& proc) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = data_.proc_plans.find({src_hash, proc});
-  if (it == data_.proc_plans.end()) return std::nullopt;
-  return it->second;
-}
-
 void SummaryStore::putDeepProc(uint64_t deep_fp, uint8_t kind,
                                std::string bytes) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -148,26 +133,6 @@ std::optional<std::string> SummaryStore::getDeepProc(uint64_t deep_fp,
   auto it = data_.deep_procs.find({deep_fp, kind});
   if (it == data_.deep_procs.end()) return std::nullopt;
   return it->second;
-}
-
-std::optional<std::string> SummaryStore::assembleSignature(
-    uint64_t src_hash) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto procs_it = data_.responses.find({src_hash, "procs"});
-  auto tel_it = data_.responses.find({src_hash, "telemetry"});
-  if (procs_it == data_.responses.end() || tel_it == data_.responses.end())
-    return std::nullopt;
-  std::string sig;
-  std::istringstream procs(procs_it->second);
-  std::string proc;
-  while (std::getline(procs, proc)) {
-    if (proc.empty()) continue;
-    auto it = data_.proc_plans.find({src_hash, proc});
-    if (it == data_.proc_plans.end()) return std::nullopt;
-    sig += it->second;
-  }
-  sig += tel_it->second;
-  return sig;
 }
 
 bool SummaryStore::save(std::string& err) {

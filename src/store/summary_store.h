@@ -1,10 +1,10 @@
 // Crash-safe persistence for the analysis caches.
 //
 // A SummaryStore owns one snapshot file (`summary.snap` inside its
-// directory) holding the process's Presburger feasibility cache and the
-// per-procedure plan summaries / rendered responses of every source the
-// daemon has analyzed, keyed by source content hash. Durability
-// contract:
+// directory) holding the process's Presburger feasibility cache, the
+// plan signature and rendered responses of every source the daemon has
+// analyzed (keyed by source content hash), and the deep per-procedure
+// records of incremental re-analysis. Durability contract:
 //
 //   save():  write-to-temp + fsync(file) + atomic rename + fsync(dir).
 //            A crash at any instant leaves either the old snapshot or
@@ -18,7 +18,7 @@
 //
 // The store never *answers* anything the analysis could not recompute:
 // feasibility entries are renaming-invariant facts keyed by the
-// canonical system encoding, and plan/response records are keyed by the
+// canonical system encoding, and response records are keyed by the
 // exact source bytes' content hash plus the store format version — so a
 // loaded record can be stale only if the snapshot survived a format
 // change, which the version check rejects wholesale. Corruption and
@@ -45,7 +45,6 @@ struct StoreStats {
   uint64_t quarantined = 0;     ///< snapshots moved aside (lifetime of dir)
   uint64_t saves = 0;
   uint64_t loaded_feasibility = 0;
-  uint64_t loaded_plans = 0;
   uint64_t loaded_responses = 0;
   uint64_t loaded_deep = 0;  ///< deep per-procedure records in the snapshot
 };
@@ -70,10 +69,6 @@ class SummaryStore {
                    std::string body);
   std::optional<std::string> getResponse(uint64_t src_hash,
                                          const std::string& kind) const;
-  void putProcPlan(uint64_t src_hash, const std::string& proc,
-                   std::string signature);
-  std::optional<std::string> getProcPlan(uint64_t src_hash,
-                                         const std::string& proc) const;
 
   // --- deep per-procedure records (incremental re-analysis) ---
   // Keyed by (deep content fingerprint, analysis kind); the value is a
@@ -81,11 +76,6 @@ class SummaryStore {
   void putDeepProc(uint64_t deep_fp, uint8_t kind, std::string bytes);
   std::optional<std::string> getDeepProc(uint64_t deep_fp,
                                          uint8_t kind) const;
-
-  /// Reassemble the full plan signature for `src_hash` from the stored
-  /// per-procedure slices ("procs" index + proc records + "telemetry"
-  /// trailer). nullopt when any piece is missing.
-  std::optional<std::string> assembleSignature(uint64_t src_hash) const;
 
   /// Atomic snapshot write (no-op for ephemeral stores). False + err on
   /// I/O failure; the previous snapshot is untouched in that case.

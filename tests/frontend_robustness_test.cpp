@@ -221,15 +221,7 @@ TEST_P(MutatedCorpus, SnapshotMutationsNeverCrashTheStoreLoader) {
 
   store::StoreData data;
   uint64_t hash = contentHash64(source);
-  std::string procs;
-  for (const auto& p : cp->program->procs) {
-    std::string name(cp->interner().str(p->name));
-    data.proc_plans[{hash, name}] = procPlanSignature(*cp, p.get());
-    procs += name;
-    procs += '\n';
-  }
-  data.responses[{hash, "procs"}] = procs;
-  data.responses[{hash, "telemetry"}] = planTelemetrySignature(*cp);
+  data.responses[{hash, "signature"}] = planSignature(*cp);
   data.responses[{hash, "report"}] = renderPlanReport(*cp);
   data.feasibility["fuzz-key-a"] = 0;
   data.feasibility["fuzz-key-b"] = 1;

@@ -14,6 +14,7 @@
 #include "ipa/fingerprint.h"
 #include "ipa/incremental.h"
 #include "store/summary_store.h"
+#include "vra/vra.h"
 
 namespace padfa {
 namespace {
@@ -190,6 +191,40 @@ TEST_P(CorpusIncremental, EditClassesMatchColdRun) {
     checkEdit(original, edited,
               e.name + "/signature-edit/" +
                   std::string(cp->interner().str(proc->name)));
+  }
+}
+
+// The store holds plans from before the refinement stage (Doacross
+// upgrade, VRA promotion), so whether value ranges were on when a
+// record was written cannot leak into a replay: a store seeded with
+// VRA on replays in full under VRA off, byte-identical to a cold
+// compile under VRA off, and the reverse.
+TEST_P(CorpusIncremental, ReplayIsByteIdenticalAcrossTheVraKnob) {
+  const CorpusEntry& e = corpus()[static_cast<size_t>(GetParam())];
+  const std::string source = instantiate(e);
+  struct RestoreVra {
+    ~RestoreVra() { vra::clearVraEnabledOverride(); }
+  } restore;
+  for (bool seed_vra : {true, false}) {
+    SCOPED_TRACE(seed_vra ? "seeded with VRA on" : "seeded with VRA off");
+    store::SummaryStore st("");
+    vra::setVraEnabled(seed_vra);
+    DiagEngine d1;
+    auto seed = ipa::compileSourceIncremental(source, d1,
+                                              BudgetLimits::defaults(), st);
+    ASSERT_TRUE(seed.has_value()) << d1.dump();
+
+    vra::setVraEnabled(!seed_vra);
+    DiagEngine d2;
+    ipa::IncrementalInfo info;
+    auto inc = ipa::compileSourceIncremental(source, d2,
+                                             BudgetLimits::defaults(), st,
+                                             &info);
+    ASSERT_TRUE(inc.has_value()) << d2.dump();
+    EXPECT_EQ(info.procs_replayed, info.procs_total);
+    auto cold = compile(source);
+    ASSERT_TRUE(cold);
+    EXPECT_EQ(planSignature(*inc), planSignature(*cold));
   }
 }
 

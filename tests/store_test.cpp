@@ -9,9 +9,9 @@
 //      corrupt snapshot at the live name is quarantined on open() and
 //      the store recovers cold, and a later save() re-creates a clean
 //      snapshot while the quarantined bytes survive for post-mortem;
-//   3. the whole-corpus property — for every corpus program, plans
-//      persisted through a save/load cycle reassemble to a signature
-//      bit-identical to a fresh in-process compile.
+//   3. the whole-corpus property — for every corpus program, the plan
+//      signature persisted through a save/load cycle is bit-identical
+//      to a fresh in-process compile.
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
@@ -68,10 +68,7 @@ StoreData sampleData() {
   d.feasibility["sys:a<=b"] = 0;
   d.feasibility["sys:b<=a"] = 1;
   d.feasibility["sys:inexact"] = 2;
-  d.proc_plans[{0x1234, "main"}] = "loop L1 status=Parallel\n";
-  d.proc_plans[{0x1234, "work"}] = "loop L2 status=Sequential\n";
-  d.responses[{0x1234, "procs"}] = "main\nwork\n";
-  d.responses[{0x1234, "telemetry"}] = "degraded_globally=0\n";
+  d.responses[{0x1234, "signature"}] = "loop L1 status=Parallel\n";
   d.responses[{0x1234, "report"}] = "loop  depth  plan\n";
   d.deep_procs[{0xabcdef01, 0}] = std::string("\x01", 1) + "base-bytes";
   d.deep_procs[{0xabcdef01, 1}] = std::string("\x01", 1) + "pred-bytes";
@@ -89,7 +86,6 @@ TEST(Snapshot, RoundTripIsBitIdentical) {
   std::string err;
   ASSERT_TRUE(decodeSnapshot(bytes, back, err)) << err;
   EXPECT_EQ(back.feasibility, d.feasibility);
-  EXPECT_EQ(back.proc_plans, d.proc_plans);
   EXPECT_EQ(back.responses, d.responses);
   EXPECT_EQ(back.deep_procs, d.deep_procs);
   // Maps make encode order canonical: re-encoding reproduces the bytes.
@@ -138,6 +134,11 @@ TEST(Snapshot, GoldenCorruptionsAllRejected) {
     std::string b = good;
     b[8] = 1;
     expectRejected(b, "stale v1 version");
+  }
+  {  // v2 snapshot (per-procedure plan records): one-time cold start
+    std::string b = good;
+    b[8] = 2;
+    expectRejected(b, "stale v2 version");
   }
   {  // CRC flip: flip one payload bit of the first record
     std::string b = good;
@@ -265,22 +266,18 @@ TEST(SummaryStore, SaveThenLoadRestoresRecords) {
   {
     SummaryStore store(dir.path);
     EXPECT_FALSE(store.open());  // cold: no snapshot yet
-    store.putProcPlan(42, "main", "sig-main");
-    store.putResponse(42, "procs", "main\n");
-    store.putResponse(42, "telemetry", "t");
+    store.putResponse(42, "signature", "sig");
     store.putResponse(42, "report", "table");
     std::string err;
     ASSERT_TRUE(store.save(err)) << err;
   }
   SummaryStore store(dir.path);
   EXPECT_TRUE(store.open());
-  EXPECT_EQ(store.getProcPlan(42, "main").value_or(""), "sig-main");
+  EXPECT_EQ(store.getResponse(42, "signature").value_or(""), "sig");
   EXPECT_EQ(store.getResponse(42, "report").value_or(""), "table");
-  EXPECT_EQ(store.assembleSignature(42).value_or(""), "sig-maint");
   EXPECT_FALSE(store.getResponse(43, "report").has_value());
-  EXPECT_FALSE(store.assembleSignature(43).has_value());
-  EXPECT_EQ(store.stats().loaded_plans, 1u);
-  EXPECT_EQ(store.stats().loaded_responses, 3u);
+  EXPECT_FALSE(store.getResponse(43, "signature").has_value());
+  EXPECT_EQ(store.stats().loaded_responses, 2u);
 }
 
 TEST(SummaryStore, CorruptSnapshotIsQuarantinedAndStoreStartsCold) {
@@ -394,8 +391,8 @@ TEST(SummaryStore, SaveLeavesNoTempFilesBehind) {
 }
 
 // ---------------------------------------------------------------------
-// 3. Whole-corpus persistence property: plans that pass through a
-// save/load cycle reassemble bit-identically to a cold compile.
+// 3. Whole-corpus persistence property: plan signatures that pass
+// through a save/load cycle come back bit-identical to a cold compile.
 
 TEST(StoreCorpusProperty, PersistedPlansAreBitIdenticalAcrossReload) {
   TempDir dir;
@@ -410,15 +407,7 @@ TEST(StoreCorpusProperty, PersistedPlansAreBitIdenticalAcrossReload) {
       auto cp = compileSource(source, diags);
       ASSERT_TRUE(cp) << diags.dump();
       uint64_t hash = contentHash64(source);
-      std::string procs;
-      for (const auto& p : cp->program->procs) {
-        std::string name(cp->interner().str(p->name));
-        store.putProcPlan(hash, name, procPlanSignature(*cp, p.get()));
-        procs += name;
-        procs += '\n';
-      }
-      store.putResponse(hash, "procs", std::move(procs));
-      store.putResponse(hash, "telemetry", planTelemetrySignature(*cp));
+      store.putResponse(hash, "signature", planSignature(*cp));
       expected.emplace_back(hash, planSignature(*cp));
     }
     std::string err;
@@ -426,14 +415,14 @@ TEST(StoreCorpusProperty, PersistedPlansAreBitIdenticalAcrossReload) {
   }
 
   // Reload in a fresh store object (fresh process stand-in) and compare
-  // the reassembled signature against the in-process compile, for every
+  // the reloaded signature against the in-process compile, for every
   // corpus program.
   SummaryStore store(dir.path);
   ASSERT_TRUE(store.open());
   for (const auto& [hash, signature] : expected) {
-    auto assembled = store.assembleSignature(hash);
-    ASSERT_TRUE(assembled.has_value());
-    EXPECT_EQ(*assembled, signature);
+    auto reloaded = store.getResponse(hash, "signature");
+    ASSERT_TRUE(reloaded.has_value());
+    EXPECT_EQ(*reloaded, signature);
   }
 }
 

@@ -324,9 +324,11 @@ TEST(VraCorpus, EveryPromotionSurvivesBothVerificationLegs) {
     AuditReport audit = auditPlans(*cp.program, cp.pred, diags);
     EXPECT_TRUE(audit.clean()) << e.name << ":\n" << diags.dump();
     for (const auto& la : audit.loops)
-      for (const ForStmt* loop : promoted)
-        if (la.loop == loop)
+      for (const ForStmt* loop : promoted) {
+        if (la.loop == loop) {
           EXPECT_NE(la.verdict, AuditVerdict::Unsound) << e.name;
+        }
+      }
 
     // Leg 2: dynamic race oracle over the reference execution.
     RaceOracle oracle(*cp.program, cp.pred);
