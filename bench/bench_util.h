@@ -24,27 +24,6 @@ inline CompiledProgram compileOrDie(const CorpusEntry& e, int scale = 1) {
   return std::move(*cp);
 }
 
-/// Candidate loops per the paper's Table 1: left sequential by the base
-/// system, not I/O, and not nested inside a base-parallelized loop.
-inline bool isCandidate(const CompiledProgram& cp, const ForStmt* loop) {
-  const LoopPlan* bp = cp.base.planFor(loop);
-  if (!bp) return false;
-  if (bp->status != LoopStatus::Sequential) return false;
-  return !nestedInsideParallelized(cp, loop, cp.base);
-}
-
-/// Run the program sequentially with ELPD instrumentation on every
-/// candidate loop; returns the collector for verdict queries.
-inline ElpdCollector runElpd(const CompiledProgram& cp) {
-  ElpdCollector collector;
-  for (const LoopNode* node : cp.loops.allLoops())
-    if (isCandidate(cp, node->loop)) collector.instrument(node->loop);
-  InterpOptions opt;
-  opt.elpd = &collector;
-  execute(*cp.program, opt);
-  return collector;
-}
-
 /// Extract a `--json <path>` flag from argv, compacting argv so
 /// benchmark::Initialize never sees the (unrecognized) flag. Returns the
 /// path, or "" when the flag is absent. Harness binaries use this to emit

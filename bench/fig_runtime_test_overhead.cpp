@@ -70,12 +70,12 @@ void BM_ElpdInspection(benchmark::State& state) {
     if (isCandidate(cp, node->loop)) target = node->loop;
   uint64_t accesses = 0;
   for (auto _ : state) {
-    ElpdCollector collector;
-    if (target) collector.instrument(target);
+    RaceOracle elpd;
+    if (target) elpd.instrument(target);
     InterpOptions opt;
-    opt.elpd = &collector;
+    opt.race = &elpd;
     InterpStats s = execute(*cp.program, opt);
-    accesses = collector.totalAccesses();
+    accesses = elpd.totalAccesses();
     benchmark::DoNotOptimize(s.checksum);
   }
   state.counters["instrumented_accesses"] = static_cast<double>(accesses);

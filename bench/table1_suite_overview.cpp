@@ -29,7 +29,7 @@ struct EntryStats {
 
 EntryStats computeEntry(const CorpusEntry& e) {
   CompiledProgram cp = compileOrDie(e);
-  ElpdCollector elpd = runElpd(cp);
+  RaceOracle elpd = runElpd(cp);
   // Independent re-verification of the base system's plans.
   DiagEngine audit_diags;
   AuditReport audit = auditPlans(*cp.program, cp.base, audit_diags);
@@ -40,21 +40,20 @@ EntryStats computeEntry(const CorpusEntry& e) {
   s.unsound = static_cast<int>(audit.count(AuditVerdict::Unsound));
   for (const LoopNode* node : cp.loops.allLoops()) {
     ++s.loops;
+    if (isCandidate(cp, node->loop)) {
+      ++s.cand;
+      if (elpd.verdict(node->loop).parallelizable()) ++s.elpd_par;
+      continue;
+    }
+    // Not a candidate: I/O or unanalyzable bounds, parallel in the base
+    // system, or left sequential inside a base-parallelized loop.
     const LoopPlan* bp = cp.base.planFor(node->loop);
-    if (!bp || bp->status == LoopStatus::NotCandidate) {
+    if (!bp || bp->status == LoopStatus::NotCandidate)
       ++s.not_cand;
-      continue;
-    }
-    if (bp->status == LoopStatus::Parallel) {
+    else if (bp->status == LoopStatus::Parallel)
       ++s.base_par;
-      continue;
-    }
-    if (nestedInsideParallelized(cp, node->loop, cp.base)) {
+    else
       ++s.nested;
-      continue;
-    }
-    ++s.cand;
-    if (elpd.verdict(node->loop).parallelizable()) ++s.elpd_par;
   }
   // Predicated run-time tests the value-range analysis discharges at
   // compile time (DESIGN.md Â§15) -- the suite-level view of the

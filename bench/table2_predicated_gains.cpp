@@ -30,7 +30,7 @@ struct EntryStats {
 
 EntryStats computeEntry(const CorpusEntry& e) {
   CompiledProgram cp = compileOrDie(e);
-  ElpdCollector elpd = runElpd(cp);
+  RaceOracle elpd = runElpd(cp);
   // Static re-verification (PlanAuditor) of the predicated plans...
   DiagEngine audit_diags;
   AuditReport audit = auditPlans(*cp.program, cp.pred, audit_diags);

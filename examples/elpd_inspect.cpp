@@ -27,26 +27,19 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  ElpdCollector collector;
   int candidates = 0;
-  for (const LoopNode* node : cp->loops.allLoops()) {
-    const LoopPlan* bp = cp->base.planFor(node->loop);
-    if (!bp || bp->status != LoopStatus::Sequential) continue;
-    if (nestedInsideParallelized(*cp, node->loop, cp->base)) continue;
-    collector.instrument(node->loop);
-    ++candidates;
-  }
+  for (const LoopNode* node : cp->loops.allLoops())
+    if (isCandidate(*cp, node->loop)) ++candidates;
   std::printf("program '%s': %d candidate loop(s) left sequential by the "
               "base system\n",
               name, candidates);
 
-  InterpOptions opt;
-  opt.elpd = &collector;
-  execute(*cp->program, opt);
-
+  RaceOracle elpd = runElpd(*cp);
+  uint64_t accesses = 0;
   for (const LoopNode* node : cp->loops.allLoops()) {
-    if (!collector.isInstrumented(node->loop)) continue;
-    auto v = collector.verdict(node->loop);
+    if (!elpd.isInstrumented(node->loop)) continue;
+    RaceOracle::LoopVerdict v = elpd.verdict(node->loop);
+    accesses += v.accesses;
     const char* verdict = !v.executed        ? "did not execute"
                           : v.independent()  ? "INDEPENDENT"
                           : v.privatizable() ? "PRIVATIZABLE"
@@ -63,6 +56,6 @@ int main(int argc, char** argv) {
   }
   std::printf("total instrumented accesses: %llu (the inspector overhead "
               "the paper's low-cost tests avoid)\n",
-              static_cast<unsigned long long>(collector.totalAccesses()));
+              static_cast<unsigned long long>(accesses));
   return 0;
 }

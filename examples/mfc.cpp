@@ -202,25 +202,7 @@ int run(const CompiledProgram& cp, unsigned threads) {
 }
 
 int elpd(const CompiledProgram& cp) {
-  ElpdCollector collector;
-  for (const LoopNode* node : cp.loops.allLoops()) {
-    const LoopPlan* bp = cp.base.planFor(node->loop);
-    if (!bp || bp->status != LoopStatus::Sequential) continue;
-    if (nestedInsideParallelized(cp, node->loop, cp.base)) continue;
-    collector.instrument(node->loop);
-  }
-  InterpOptions opt;
-  opt.elpd = &collector;
-  execute(*cp.program, opt);
-  for (const LoopNode* node : cp.loops.allLoops()) {
-    if (!collector.isInstrumented(node->loop)) continue;
-    auto v = collector.verdict(node->loop);
-    std::printf("%-16s %s\n", node->loop->loop_id.c_str(),
-                !v.executed        ? "did not execute"
-                : v.independent()  ? "independent"
-                : v.privatizable() ? "privatizable"
-                                   : "not parallel (cross-iteration flow)");
-  }
+  std::fputs(renderElpdReport(cp).c_str(), stdout);
   return 0;
 }
 
@@ -276,7 +258,7 @@ int raceCheck(const CompiledProgram& cp) {
   opt.plans = &cp.pred;
   opt.race = &oracle;
   execute(*cp.program, opt);
-  std::fputs(oracle.report(cp.program->interner).c_str(), stdout);
+  std::fputs(oracle.report().c_str(), stdout);
   std::printf("race check: %zu audited loop(s), %zu violation(s), %llu "
               "access(es) shadowed\n",
               oracle.auditedCount(), oracle.violationCount(),

@@ -33,7 +33,7 @@ void collectDeclared(const BlockStmt& block, std::set<const VarDecl*>& out) {
 }  // namespace
 
 RaceOracle::RaceOracle(const Program& program, const AnalysisResult& analysis)
-    : program_(program) {
+    : interner_(&program.interner) {
   for (const auto& [loop, plan] : analysis.plans) {
     if (plan.status != LoopStatus::Parallel &&
         plan.status != LoopStatus::RuntimeTest &&
@@ -41,10 +41,8 @@ RaceOracle::RaceOracle(const Program& program, const AnalysisResult& analysis)
       continue;
     LoopState st;
     st.plan = &plan;
-    if (plan.status == LoopStatus::Doacross) {
-      st.doacross = true;
+    if (plan.status == LoopStatus::Doacross)
       for (const auto& s : plan.syncs) st.sync_distances.insert(s.distance);
-    }
     std::set<const VarDecl*> body_declared;
     collectDeclared(*loop->body, body_declared);
     for (const auto& red : plan.reductions)
@@ -66,16 +64,16 @@ const LoopPlan* RaceOracle::planFor(const ForStmt* loop) const {
 }
 
 void RaceOracle::loopEnter(const ForStmt* loop,
-                           const std::set<const void*>& privatized) {
+                           std::set<const void*> privatized) {
   auto it = loops_.find(loop);
   if (it == loops_.end()) return;
   LoopState& st = it->second;
-  st.active = true;
+  // Each invocation is judged on its own: marks of an earlier invocation
+  // fall below the new base and read as "never". Verdict bits keep
+  // accumulating across invocations.
+  st.base = st.next_base;
   st.cur_iter = -1;
-  st.privatized = privatized;
-  st.shadows.clear();
-  st.buffer_decl.clear();
-  st.scalar_shadows.clear();
+  st.privatized = std::move(privatized);
   ++st.invocations;
   active_.push_back(&st);
 }
@@ -83,23 +81,22 @@ void RaceOracle::loopEnter(const ForStmt* loop,
 void RaceOracle::loopIterStart(const ForStmt* loop, int64_t ordinal) {
   auto it = loops_.find(loop);
   if (it == loops_.end()) return;
-  it->second.cur_iter = ordinal;
-  it->second.executed = true;
+  LoopState& st = it->second;
+  st.cur_iter = ordinal;
+  st.next_base = std::max(st.next_base, st.stamp() + 1);
+  st.executed = true;
 }
 
 void RaceOracle::loopExit(const ForStmt* loop) {
   auto it = loops_.find(loop);
   if (it == loops_.end()) return;
-  LoopState& st = it->second;
-  st.active = false;
-  active_.erase(std::remove(active_.begin(), active_.end(), &st),
-                active_.end());
+  if (!active_.empty() && active_.back() == &it->second) active_.pop_back();
+  it->second.cur_iter = -1;
 }
 
 void RaceOracle::bufferAllocated(const void* buffer) {
   for (LoopState* st : active_) {
     st->shadows.erase(buffer);
-    st->buffer_decl.erase(buffer);
     // A buffer reborn at a stale privatized address no longer is the
     // privatized array (those resolve at loopEnter), so drop it.
     st->privatized.erase(buffer);
@@ -122,45 +119,55 @@ void RaceOracle::flag(LoopState& st, std::string detail) {
   }
 }
 
-void RaceOracle::recordAccess(const void* buffer, const VarDecl* decl,
-                              size_t flat_index, size_t buffer_size,
-                              bool is_write) {
+std::string RaceOracle::nameOf(const VarDecl* decl) const {
+  // Only planned loops flag, and only the planned constructor sets the
+  // interner.
+  return decl ? std::string(interner_->str(decl->name)) : "<array>";
+}
+
+void RaceOracle::recordAccess(const void* buffer, size_t flat_index,
+                              size_t buffer_size, bool is_write,
+                              const VarDecl* decl) {
   if (active_.empty()) return;
   ++total_accesses_;
   for (LoopState* stp : active_) {
     LoopState& st = *stp;
     if (st.cur_iter < 0) continue;  // before the first iteration
+    ++st.accesses;
     Shadow& sh = st.shadows[buffer];
     sh.ensure(buffer_size);
-    if (decl) st.buffer_decl[buffer] = decl;
-    int64_t& w = sh.write_iter[flat_index];
-    int64_t& r = sh.read_iter[flat_index];
-    const int64_t t = st.cur_iter;
+    int64_t& w = sh.write[flat_index];
+    int64_t& r = sh.read[flat_index];
+    // Violation details name ordinals within the invocation, not stamps.
+    auto ord = [&st](int64_t stamp) { return std::to_string(stamp - st.base); };
     const bool privatized = st.privatized.count(buffer) > 0;
-    std::string_view name =
-        decl ? program_.interner.str(decl->name) : "<array>";
     if (is_write) {
-      const bool waw = w != -1 && w != t && !st.allows(t - w);
-      const bool war = r != -1 && r != t && !st.allows(t - r);
-      if (!privatized && (waw || war))
-        flag(st, "shared array '" + std::string(name) +
-                     "' element written by iteration " + std::to_string(t) +
-                     " after iteration " + std::to_string(waw ? w : r) +
+      const bool waw = st.earlier(w), war = st.earlier(r);
+      st.conflict = st.conflict || waw || war;
+      const bool bad_waw = waw && !st.allows(w);
+      const bool bad_war = war && !st.allows(r);
+      if (st.plan && !privatized && (bad_waw || bad_war))
+        flag(st, "shared array '" + nameOf(decl) +
+                     "' element written by iteration " + ord(st.stamp()) +
+                     " after iteration " + ord(bad_waw ? w : r) +
                      " accessed it");
-      w = t;
+      w = st.stamp();
     } else {
-      if (w != -1 && w != t) {
-        if (privatized)
-          flag(st, "privatized array '" + std::string(name) +
-                       "' carries a value from iteration " +
-                       std::to_string(w) + " into iteration " +
-                       std::to_string(t) + " (cross-iteration flow)");
-        else if (!st.allows(t - w))
-          flag(st, "shared array '" + std::string(name) +
-                       "' element read by iteration " + std::to_string(t) +
-                       " was written by iteration " + std::to_string(w));
+      if (st.earlier(w)) {
+        // Read of a value an earlier iteration produced, this iteration
+        // not having written the element itself yet: flow.
+        st.conflict = st.flow = true;
+        if (st.plan && privatized)
+          flag(st, "privatized array '" + nameOf(decl) +
+                       "' carries a value from iteration " + ord(w) +
+                       " into iteration " + ord(st.stamp()) +
+                       " (cross-iteration flow)");
+        else if (st.plan && !st.allows(w))
+          flag(st, "shared array '" + nameOf(decl) +
+                       "' element read by iteration " + ord(st.stamp()) +
+                       " was written by iteration " + ord(w));
       }
-      r = t;
+      r = st.stamp();
     }
   }
 }
@@ -168,18 +175,17 @@ void RaceOracle::recordAccess(const void* buffer, const VarDecl* decl,
 void RaceOracle::recordScalarRead(const VarDecl* decl) {
   for (LoopState* stp : active_) {
     LoopState& st = *stp;
-    if (st.cur_iter < 0 || !st.tracked_scalars.count(decl)) continue;
-    ScalarShadow& sh = st.scalar_shadows[decl];
+    if (st.cur_iter < 0 || !st.tracked_scalars.count(decl) ||
+        st.reduction_scalars.count(decl))
+      continue;
     // Flow: the last write came from an earlier iteration and this
     // iteration has not overwritten the scalar yet.
-    if (sh.write_iter != -1 && sh.write_iter != st.cur_iter &&
-        !st.reduction_scalars.count(decl)) {
-      flag(st, "scalar '" + std::string(program_.interner.str(decl->name)) +
-                   "' read in iteration " + std::to_string(st.cur_iter) +
+    auto w = st.scalar_writes.find(decl);
+    if (w != st.scalar_writes.end() && st.earlier(w->second))
+      flag(st, "scalar '" + nameOf(decl) + "' read in iteration " +
+                   std::to_string(st.cur_iter) +
                    " carries the value written by iteration " +
-                   std::to_string(sh.write_iter));
-    }
-    sh.read_iter = st.cur_iter;
+                   std::to_string(w->second - st.base));
   }
 }
 
@@ -187,24 +193,37 @@ void RaceOracle::recordScalarWrite(const VarDecl* decl) {
   for (LoopState* stp : active_) {
     LoopState& st = *stp;
     if (st.cur_iter < 0 || !st.tracked_scalars.count(decl)) continue;
-    st.scalar_shadows[decl].write_iter = st.cur_iter;
+    st.scalar_writes[decl] = st.stamp();
   }
+}
+
+RaceOracle::LoopVerdict RaceOracle::verdictOf(const ForStmt* loop,
+                                              const LoopState& st) const {
+  LoopVerdict v;
+  v.loop = loop;
+  if (st.plan) {
+    v.proc = st.plan->proc;
+    v.status = st.plan->status;
+  }
+  v.invocations = st.invocations;
+  v.executed = st.executed;
+  v.conflict = st.conflict;
+  v.flow = st.flow;
+  v.accesses = st.accesses;
+  v.violation = st.violation;
+  v.detail = st.detail;
+  v.loc = loop->loc;
+  return v;
+}
+
+RaceOracle::LoopVerdict RaceOracle::verdict(const ForStmt* loop) const {
+  auto it = loops_.find(loop);
+  return it == loops_.end() ? LoopVerdict{} : verdictOf(loop, it->second);
 }
 
 std::vector<RaceOracle::LoopVerdict> RaceOracle::verdicts() const {
   std::vector<LoopVerdict> out;
-  for (const auto& [loop, st] : loops_) {
-    LoopVerdict v;
-    v.loop = loop;
-    v.proc = st.plan->proc;
-    v.status = st.plan->status;
-    v.invocations = st.invocations;
-    v.executed = st.executed;
-    v.violation = st.violation;
-    v.detail = st.detail;
-    v.loc = loop->loc;
-    out.push_back(std::move(v));
-  }
+  for (const auto& [loop, st] : loops_) out.push_back(verdictOf(loop, st));
   return out;
 }
 
@@ -215,17 +234,17 @@ size_t RaceOracle::violationCount() const {
   return n;
 }
 
-std::string RaceOracle::report(const Interner&) const {
+std::string RaceOracle::report() const {
   std::string out;
-  for (const auto& [loop, st] : loops_) {
-    out += "loop " + loop->loop_id + " [" +
-           std::string(loopStatusName(st.plan->status)) + "] ";
-    if (!st.executed)
-      out += st.invocations == 0 ? "not reached" : "armed but no iterations";
-    else if (st.violation)
-      out += "VIOLATION: " + st.detail;
+  for (const LoopVerdict& v : verdicts()) {
+    out += "loop " + v.loop->loop_id + " [" +
+           std::string(loopStatusName(v.status)) + "] ";
+    if (!v.executed)
+      out += v.invocations == 0 ? "not reached" : "armed but no iterations";
+    else if (v.violation)
+      out += "VIOLATION: " + v.detail;
     else
-      out += "clean over " + std::to_string(st.invocations) + " invocation(s)";
+      out += "clean over " + std::to_string(v.invocations) + " invocation(s)";
     out += '\n';
   }
   return out;

@@ -1,29 +1,38 @@
-// Dynamic race oracle: shadow-memory instrumentation that checks, during
-// a sequential reference execution, whether the iterations of each loop
-// the analysis planned to run in parallel really are independent *under
-// the plan's own declarations* (privatization, reductions, run-time
-// tests).
+// Dynamic race oracle: the one shadow-memory engine. During a sequential
+// reference execution it applies the LPD shadow-array criterion to every
+// shadowed loop. It serves two clients:
 //
-// This is the third leg of the verification tripod (DESIGN.md §9): the
-// static PlanAuditor re-derives independence symbolically, the oracle
-// observes it concretely, and tests require the three-way agreement of
-// analysis, auditor, and execution.
+//  * the race oracle proper, a verification leg (DESIGN.md §9): each loop
+//    the analysis planned to run in parallel is checked for independence
+//    *under the plan's own declarations* (privatization, reductions,
+//    run-time tests, Doacross syncs). The static PlanAuditor re-derives
+//    independence symbolically, the oracle observes it concretely;
+//  * ELPD, the paper's yardstick (Rauchwerger & Padua's LPD test, extended
+//    per So/Moon/Hall): each candidate loop the base system left
+//    sequential is shadowed with no plan, and its verdict is
+//    independent, privatizable or not parallel on this input.
 //
-// Per audited loop the oracle enforces:
-//  * shared (non-privatized) arrays  — no element may be touched by two
-//    different iterations with at least one write (any such conflict is a
-//    race once iterations run concurrently);
-//  * privatized arrays — conflicts are fine (each thread gets a private
-//    copy) but no iteration may *read* an element whose last write was an
-//    earlier iteration before writing it itself: that value would come
-//    from the private copy, not the earlier iteration (the LPD flow
-//    criterion);
-//  * scalars declared outside the loop body — no cross-iteration flow,
-//    except through declared reductions (the interpreter's parallel mode
-//    gives every thread its own scalar copy, so flow is the only hazard);
-//  * RuntimeTest loops are only checked on invocations where the derived
+// Every shadowed loop keeps, per element of every buffer it touches, the
+// stamp of the last writing and the last reading iteration. On each
+// access it sets a sticky conflict bit on any cross-iteration write/write,
+// write/read or read/write pair, and a sticky flow bit on a read of a
+// value an earlier iteration wrote (this iteration not having written it
+// first). ELPD reads those two bits. A planned loop additionally flags a
+// violation when the hazard is one its plan does not excuse:
+//  * shared (non-privatized) arrays — any conflict, except one whose
+//    iteration distance is a declared Doacross sync distance;
+//  * privatized arrays — only flow: each thread gets a private copy, so
+//    the read would see the private copy, not the earlier iteration;
+//  * scalars declared outside the loop body — flow, except through
+//    declared reductions (the interpreter's parallel mode gives every
+//    thread its own scalar copy, so flow is the only hazard);
+//  * RuntimeTest loops are only armed on invocations where the derived
 //    test passes — when it fails the program runs the sequential version
 //    and no independence claim is made.
+//
+// The engine also counts instrumented accesses: the run-time overhead an
+// inspector/executor pays, which the paper contrasts with its
+// O(#test-atoms) predicated tests (Experiment E5).
 #pragma once
 
 #include <cstdint>
@@ -39,28 +48,37 @@ namespace padfa {
 
 class RaceOracle {
  public:
-  /// `analysis` must outlive the oracle. Every plan with status Parallel,
-  /// RuntimeTest, or Doacross becomes an audited loop. Doacross loops are
-  /// checked modulo their declared syncs: an observed cross-iteration
-  /// array conflict is permitted iff its iteration distance appears in
-  /// the plan's sync requirements (eliminated ones included — they name
-  /// real dependences, merely enforced transitively); the privatized-flow
-  /// and scalar-flow rules are unchanged.
+  /// An engine with no shadowed loops: ELPD adds its candidates with
+  /// instrument().
+  RaceOracle() = default;
+
+  /// `program` and `analysis` must outlive the oracle. Every plan with
+  /// status Parallel, RuntimeTest, or Doacross becomes a shadowed loop.
+  /// Doacross loops are checked modulo their declared syncs: an observed
+  /// cross-iteration array conflict is permitted iff its iteration
+  /// distance appears in the plan's sync requirements (eliminated ones
+  /// included — they name real dependences, merely enforced
+  /// transitively); the privatized-flow and scalar-flow rules are
+  /// unchanged.
   RaceOracle(const Program& program, const AnalysisResult& analysis);
 
-  bool isAudited(const ForStmt* loop) const {
+  /// Shadow `loop` with no plan (an ELPD candidate): no privatized
+  /// arrays, no tracked scalars, armed on every invocation. Only its
+  /// conflict and flow bits mean anything.
+  void instrument(const ForStmt* loop) { loops_.try_emplace(loop); }
+  bool isInstrumented(const ForStmt* loop) const {
     return loops_.count(loop) > 0;
   }
+  /// The plan a shadowed loop checks; null for a plan-free loop.
   const LoopPlan* planFor(const ForStmt* loop) const;
   size_t auditedCount() const { return loops_.size(); }
 
   // ------------------------------------------------ interpreter hooks --
 
-  /// Entering an audited loop whose independence claim is armed for this
-  /// invocation (RuntimeTest loops: the test passed). `privatized` maps
-  /// the plan's privatized arrays to their current buffer identities.
-  void loopEnter(const ForStmt* loop,
-                 const std::set<const void*>& privatized);
+  /// Entering a shadowed loop whose claim is armed for this invocation
+  /// (RuntimeTest loops: the test passed). `privatized` holds the current
+  /// buffer identities of the plan's privatized arrays.
+  void loopEnter(const ForStmt* loop, std::set<const void*> privatized = {});
   void loopIterStart(const ForStmt* loop, int64_t ordinal);
   void loopExit(const ForStmt* loop);
 
@@ -69,8 +87,12 @@ class RaceOracle {
   /// and must be dropped.
   void bufferAllocated(const void* buffer);
 
-  void recordAccess(const void* buffer, const VarDecl* decl,
-                    size_t flat_index, size_t buffer_size, bool is_write);
+  /// Record one element access. `buffer` is the identity of the
+  /// underlying element buffer (shared by reshaped views), so aliased
+  /// accesses are detected correctly; `decl` only names the array in
+  /// violation details.
+  void recordAccess(const void* buffer, size_t flat_index, size_t buffer_size,
+                    bool is_write, const VarDecl* decl = nullptr);
   void recordScalarRead(const VarDecl* decl);
   void recordScalarWrite(const VarDecl* decl);
 
@@ -84,40 +106,50 @@ class RaceOracle {
 
   struct LoopVerdict {
     const ForStmt* loop = nullptr;
-    const ProcDecl* proc = nullptr;
+    const ProcDecl* proc = nullptr;  // null for a plan-free loop
     LoopStatus status = LoopStatus::Sequential;
     uint64_t invocations = 0;  // armed invocations observed
     bool executed = false;     // at least one armed iteration ran
-    bool violation = false;
+    bool conflict = false;  // an element touched by >1 iteration, one a write
+    bool flow = false;      // cross-iteration value flow observed
+    uint64_t accesses = 0;  // accesses shadowed for this loop
+    bool violation = false;  // planned loops only
     /// First violation, human-readable (empty when none).
     std::string detail;
     SourceLoc loc;  // loop location
+
+    bool independent() const { return executed && !conflict; }
+    bool privatizable() const { return executed && conflict && !flow; }
+    bool parallelizable() const { return executed && !flow; }
   };
 
+  LoopVerdict verdict(const ForStmt* loop) const;
   std::vector<LoopVerdict> verdicts() const;
   size_t violationCount() const;
+  /// Accesses recorded while any shadowed loop was active, each counted
+  /// once however many loops shadowed it.
   uint64_t totalAccesses() const { return total_accesses_; }
 
   /// Multi-line human-readable summary.
-  std::string report(const Interner& interner) const;
+  std::string report() const;
 
  private:
+  // Marks are iteration stamps: the invocation's base plus the iteration
+  // ordinal, -1 = never. A mark below the current invocation's base was
+  // left by an earlier invocation and reads as "never", so re-entering a
+  // loop judges it afresh without clearing its shadows.
   struct Shadow {
-    std::vector<int64_t> write_iter;  // last writing iteration, -1 = never
-    std::vector<int64_t> read_iter;   // last reading iteration, -1 = never
+    std::vector<int64_t> write;  // last writing iteration's stamp
+    std::vector<int64_t> read;   // last reading iteration's stamp
     void ensure(size_t n) {
-      if (write_iter.size() < n) {
-        write_iter.resize(n, -1);
-        read_iter.resize(n, -1);
+      if (write.size() < n) {
+        write.resize(n, -1);
+        read.resize(n, -1);
       }
     }
   };
-  struct ScalarShadow {
-    int64_t write_iter = -1;
-    int64_t read_iter = -1;
-  };
   struct LoopState {
-    const LoopPlan* plan = nullptr;
+    const LoopPlan* plan = nullptr;  // null: a plan-free (ELPD) loop
     /// Scalars of the enclosing procedure that live across iterations
     /// (declared outside the loop body, not loop indices).
     std::set<const VarDecl*> tracked_scalars;
@@ -126,31 +158,38 @@ class RaceOracle {
     /// Doacross: iteration distances declared by the plan's sync
     /// requirements; shared-array conflicts at exactly these distances
     /// are the synchronized dependences, not races.
-    bool doacross = false;
     std::set<int64_t> sync_distances;
 
-    bool allows(int64_t d) const {
-      return doacross && sync_distances.count(d) > 0;
-    }
-
     // Per-invocation state.
-    bool active = false;
-    int64_t cur_iter = -1;
+    int64_t base = 0;       // stamp of this invocation's ordinal 0
+    int64_t next_base = 0;  // one past the highest stamp handed out
+    int64_t cur_iter = -1;  // current ordinal, -1 before the first
     std::set<const void*> privatized;
     std::map<const void*, Shadow> shadows;
-    std::map<const void*, const VarDecl*> buffer_decl;  // for reporting
-    std::map<const VarDecl*, ScalarShadow> scalar_shadows;
+    std::map<const VarDecl*, int64_t> scalar_writes;  // last write stamp
 
     // Aggregate over all invocations.
     uint64_t invocations = 0;
+    uint64_t accesses = 0;
     bool executed = false;
+    bool conflict = false;
+    bool flow = false;
     bool violation = false;
     std::string detail;
+
+    int64_t stamp() const { return base + cur_iter; }
+    /// Was `mark` left by an earlier iteration of this invocation?
+    bool earlier(int64_t mark) const { return mark >= base && mark < stamp(); }
+    bool allows(int64_t mark) const {
+      return sync_distances.count(stamp() - mark) > 0;
+    }
   };
 
+  LoopVerdict verdictOf(const ForStmt* loop, const LoopState& st) const;
+  std::string nameOf(const VarDecl* decl) const;
   void flag(LoopState& st, std::string detail);
 
-  const Program& program_;
+  const Interner* interner_ = nullptr;
   std::map<const ForStmt*, LoopState> loops_;
   std::vector<LoopState*> active_;
   uint64_t total_accesses_ = 0;

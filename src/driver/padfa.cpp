@@ -183,6 +183,40 @@ bool nestedInsideParallelized(const CompiledProgram& cp, const ForStmt* loop,
   return false;
 }
 
+bool isCandidate(const CompiledProgram& cp, const ForStmt* loop) {
+  const LoopPlan* bp = cp.base.planFor(loop);
+  return bp && bp->status == LoopStatus::Sequential &&
+         !nestedInsideParallelized(cp, loop, cp.base);
+}
+
+RaceOracle runElpd(const CompiledProgram& cp) {
+  RaceOracle elpd;
+  for (const LoopNode* node : cp.loops.allLoops())
+    if (isCandidate(cp, node->loop)) elpd.instrument(node->loop);
+  InterpOptions opt;
+  opt.race = &elpd;
+  execute(*cp.program, opt);
+  return elpd;
+}
+
+std::string renderElpdReport(const CompiledProgram& cp) {
+  RaceOracle elpd = runElpd(cp);
+  std::string out;
+  char buf[256];
+  for (const LoopNode* node : cp.loops.allLoops()) {
+    if (!elpd.isInstrumented(node->loop)) continue;
+    RaceOracle::LoopVerdict v = elpd.verdict(node->loop);
+    std::snprintf(buf, sizeof(buf), "%-16s %s\n",
+                  node->loop->loop_id.c_str(),
+                  !v.executed        ? "did not execute"
+                  : v.independent()  ? "independent"
+                  : v.privatizable() ? "privatizable"
+                                     : "not parallel (cross-iteration flow)");
+    out += buf;
+  }
+  return out;
+}
+
 LoopOutcome classifyLoop(const CompiledProgram& cp, const ForStmt* loop) {
   const LoopPlan* bp = cp.base.planFor(loop);
   const LoopPlan* pp = cp.pred.planFor(loop);

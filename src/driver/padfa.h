@@ -9,13 +9,13 @@
 #include <optional>
 #include <string>
 
+#include "audit/race_oracle.h"
 #include "dataflow/analysis.h"
 #include "interp/interp.h"
 #include "ir/region.h"
 #include "lang/parser.h"
 #include "lang/sema.h"
 #include "predicate/pred.h"
-#include "runtime/elpd.h"
 #include "support/diagnostics.h"
 #include "support/table.h"
 
@@ -101,5 +101,18 @@ LoopOutcome classifyLoop(const CompiledProgram& cp, const ForStmt* loop);
 /// (status Parallel or RuntimeTest)?
 bool nestedInsideParallelized(const CompiledProgram& cp, const ForStmt* loop,
                               const AnalysisResult& result);
+
+/// Candidate loops per the paper's Table 1: left sequential by the base
+/// system (so not I/O), and not nested inside a base-parallelized loop.
+bool isCandidate(const CompiledProgram& cp, const ForStmt* loop);
+
+/// ELPD: run the program sequentially with every candidate loop shadowed
+/// plan-free (RaceOracle::instrument); the returned engine answers
+/// verdict() for each candidate. Throws RuntimeError as execute() does.
+RaceOracle runElpd(const CompiledProgram& cp);
+
+/// Render the `mfc elpd` listing: one line per candidate loop, in loop
+/// tree order, with its ELPD verdict on the program's own input.
+std::string renderElpdReport(const CompiledProgram& cp);
 
 }  // namespace padfa

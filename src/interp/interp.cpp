@@ -7,6 +7,7 @@
 #include <ctime>
 #include <limits>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <thread>
 #include <unordered_map>
@@ -229,13 +230,13 @@ class Interp {
   Interp(const Program& program, const InterpOptions& opt)
       : program_(program), opt_(opt) {
     // Instrumented runs (ELPD or race oracle) are sequential by contract:
-    // the collectors are not thread-safe, and the elpd_/race_active_ flags
-    // below are plain bools that may only be toggled single-threaded.
+    // the engine is not thread-safe, and the shadowing_ flag below is a
+    // plain bool that may only be toggled single-threaded.
     // A single-threaded plan run still gets a (worker-less) pool: planned
     // loops then take the same block decomposition and per-block
     // reduction combine as multi-threaded runs, so results are
     // bit-identical across 1..N threads.
-    if (opt_.plans && opt_.num_threads >= 1 && !opt_.race && !opt_.elpd)
+    if (opt_.plans && opt_.num_threads >= 1 && !opt_.race)
       pool_ = std::make_unique<ThreadPool>(opt_.num_threads);
   }
 
@@ -266,7 +267,7 @@ class Interp {
       case ExprKind::VarRef: {
         const auto& v = static_cast<const VarRefExpr&>(e);
         const Cell& c = frame[v.decl->local_id];
-        if (race_active_) opt_.race->recordScalarRead(v.decl);
+        if (shadowing_) opt_.race->recordScalarRead(v.decl);
         return v.decl->elem_type == Type::Int ? Value::ofInt(c.i)
                                               : Value::ofReal(c.r);
       }
@@ -274,11 +275,9 @@ class Interp {
         const auto& a = static_cast<const ArrayRefExpr&>(e);
         ArrayStorage& st = storageOf(a, frame);
         size_t flat = flatIndex(a, st, frame);
-        if (elpd_active_)
-          opt_.elpd->recordAccess(st.bufferId(), flat, st.size(), false);
-        if (race_active_)
-          opt_.race->recordAccess(st.bufferId(), a.decl, flat, st.size(),
-                                  false);
+        if (shadowing_)
+          opt_.race->recordAccess(st.bufferId(), flat, st.size(), false,
+                                  a.decl);
         return st.elem == Type::Int ? Value::ofInt((*st.ints)[flat])
                                     : Value::ofReal((*st.reals)[flat]);
       }
@@ -431,7 +430,7 @@ class Interp {
       cell.array = std::move(st);
       // The heap may recycle a freed buffer's address: stale shadow state
       // recorded for the old buffer must not taint the new one.
-      if (race_active_) opt_.race->bufferAllocated(cell.array->bufferId());
+      if (shadowing_) opt_.race->bufferAllocated(cell.array->bufferId());
     } else {
       cell.i = 0;
       cell.r = 0;
@@ -468,11 +467,9 @@ class Interp {
           const auto& ref = static_cast<const ArrayRefExpr&>(*as.target);
           ArrayStorage& st = storageOf(ref, frame);
           size_t flat = flatIndex(ref, st, frame);
-          if (elpd_active_)
-            opt_.elpd->recordAccess(st.bufferId(), flat, st.size(), true);
-          if (race_active_)
-            opt_.race->recordAccess(st.bufferId(), ref.decl, flat, st.size(),
-                                    true);
+          if (shadowing_)
+            opt_.race->recordAccess(st.bufferId(), flat, st.size(), true,
+                                    ref.decl);
           if (st.elem == Type::Int)
             (*st.ints)[flat] = v.asInt();
           else
@@ -480,7 +477,7 @@ class Interp {
         } else {
           const auto& ref = static_cast<const VarRefExpr&>(*as.target);
           Cell& c = frame[ref.decl->local_id];
-          if (race_active_) opt_.race->recordScalarWrite(ref.decl);
+          if (shadowing_) opt_.race->recordScalarWrite(ref.decl);
           if (ref.decl->elem_type == Type::Int)
             c.i = v.asInt();
           else
@@ -597,19 +594,9 @@ class Interp {
     if (plan && plan->status == LoopStatus::RuntimeTest) {
       ++stats_.runtime_tests_evaluated;
       stats_.runtime_test_atoms += plan->runtime_test.atomCount();
-      bool pass = false;
-      try {
-        pass = plan->runtime_test.evaluate(
-            [&](const Expr& e) { return eval(e, frame).asReal(); });
-      } catch (const RuntimeError&) {
-        // A test whose own evaluation faults (division by zero, bad
-        // subscript in an atom) must not crash the dispatch: treat it as
-        // failed and take the sequential version, which reproduces the
-        // fault exactly when the original program would.
-        ++stats_.runtime_tests_trapped;
-        pass = false;
-      }
-      if (pass)
+      std::optional<bool> pass = evalRuntimeTest(*plan, frame);
+      if (!pass) ++stats_.runtime_tests_trapped;
+      if (pass.value_or(false))
         ++stats_.runtime_tests_passed;
       else
         plan = nullptr;  // fall back to the sequential version
@@ -651,59 +638,57 @@ class Interp {
     return returned;
   }
 
-  bool execForSequential(const ForStmt& loop, Frame& frame,
-                         const LoopRange& range, uint64_t& iters) {
-    bool instrument =
-        opt_.elpd && opt_.elpd->isInstrumented(&loop);
-    if (instrument) opt_.elpd->loopEnter(&loop);
-    // Only touch the activity flags when the corresponding collector is
-    // attached: collectors force sequential execution (no pool), so the
-    // flags are then single-threaded. Without a collector they must stay
-    // untouched — parallel workers read them concurrently.
-    bool prev_active = elpd_active_;
-    if (opt_.elpd) elpd_active_ = elpd_active_ || instrument;
-    // Race-oracle instrumentation: arm the loop's independence claim.
-    // RuntimeTest plans only claim independence on invocations where the
-    // derived test passes — the test is evaluated here exactly as the
-    // two-version dispatch would (faults count as "failed").
-    bool race_instr = opt_.race && opt_.race->isAudited(&loop);
-    if (race_instr) {
-      const LoopPlan* rplan = opt_.race->planFor(&loop);
-      if (rplan->status == LoopStatus::RuntimeTest) {
-        bool pass = false;
-        try {
-          pass = rplan->runtime_test.evaluate(
-              [&](const Expr& e) { return eval(e, frame).asReal(); });
-        } catch (const RuntimeError&) {
-          pass = false;
-        }
-        race_instr = pass;
-      } else if (rplan->status == LoopStatus::Parallel &&
-                 rplan->vra_action == VraAction::PromotedParallel) {
-        // A promoted plan claims its retained test ALWAYS passes; the
-        // oracle checks that claim concretely on every entry. The
-        // independence shadowing still runs either way — the plan runs
-        // parallel unconditionally, so its claim is unconditional.
-        bool pass = false;
-        try {
-          pass = rplan->runtime_test.evaluate(
-              [&](const Expr& e) { return eval(e, frame).asReal(); });
-        } catch (const RuntimeError&) {
-          pass = false;
-        }
-        if (!pass) opt_.race->promotedTestFailed(&loop);
+  /// Evaluate `plan`'s derived run-time test at loop entry; nullopt when
+  /// the evaluation itself faults (division by zero, bad subscript in an
+  /// atom). Callers treat a fault as a failed test and take the
+  /// sequential version, which reproduces the fault exactly when the
+  /// original program would.
+  std::optional<bool> evalRuntimeTest(const LoopPlan& plan, Frame& frame) {
+    try {
+      return plan.runtime_test.evaluate(
+          [&](const Expr& e) { return eval(e, frame).asReal(); });
+    } catch (const RuntimeError&) {
+      return std::nullopt;
+    }
+  }
+
+  /// Arm a shadowed loop's claim for this invocation and enter it in the
+  /// engine; false when the loop is not shadowed this time. Plan-free
+  /// (ELPD) loops are armed on every invocation. A RuntimeTest plan only
+  /// claims independence on invocations where its test passes, evaluated
+  /// exactly as the two-version dispatch would. A promoted plan claims its
+  /// retained test ALWAYS passes; the oracle checks that claim on every
+  /// entry, and shadows the loop either way — the plan runs parallel
+  /// unconditionally, so its claim is unconditional.
+  bool armShadow(const ForStmt& loop, Frame& frame) {
+    if (!opt_.race->isInstrumented(&loop)) return false;
+    std::set<const void*> privatized;
+    if (const LoopPlan* plan = opt_.race->planFor(&loop)) {
+      if (plan->status == LoopStatus::RuntimeTest) {
+        if (!evalRuntimeTest(*plan, frame).value_or(false)) return false;
+      } else if (plan->status == LoopStatus::Parallel &&
+                 plan->vra_action == VraAction::PromotedParallel &&
+                 !evalRuntimeTest(*plan, frame).value_or(false)) {
+        opt_.race->promotedTestFailed(&loop);
       }
-      if (race_instr) {
-        std::set<const void*> priv_buffers;
-        for (const auto& pa : rplan->privatized) {
-          const auto& cell = frame[pa.array->local_id];
-          if (cell.array) priv_buffers.insert(cell.array->bufferId());
-        }
-        opt_.race->loopEnter(&loop, priv_buffers);
+      for (const auto& pa : plan->privatized) {
+        const auto& cell = frame[pa.array->local_id];
+        if (cell.array) privatized.insert(cell.array->bufferId());
       }
     }
-    bool prev_race = race_active_;
-    if (opt_.race) race_active_ = race_active_ || race_instr;
+    opt_.race->loopEnter(&loop, std::move(privatized));
+    return true;
+  }
+
+  bool execForSequential(const ForStmt& loop, Frame& frame,
+                         const LoopRange& range, uint64_t& iters) {
+    // Only touch the shadowing flag when an engine is attached: it forces
+    // sequential execution (no pool), so the flag is then single-threaded.
+    // Without one it must stay untouched — parallel workers read it
+    // concurrently.
+    const bool shadowed = opt_.race && armShadow(loop, frame);
+    const bool prev_shadowing = shadowing_;
+    if (opt_.race) shadowing_ = shadowing_ || shadowed;
     // Count the iterations and step the index in wrapping uint64
     // arithmetic, as blockAt does: a bound at the int64 limit neither
     // overflows the index nor keeps the loop running.
@@ -713,9 +698,7 @@ class Interp {
     bool returned = false;
     for (uint64_t i = static_cast<uint64_t>(range.lo); ordinal < trip;
          ++ordinal, i += step) {
-      if (instrument)
-        opt_.elpd->loopIterStart(&loop, static_cast<int64_t>(ordinal));
-      if (race_instr)
+      if (shadowed)
         opt_.race->loopIterStart(&loop, static_cast<int64_t>(ordinal));
       frame[loop.index_decl->local_id].i = static_cast<int64_t>(i);
       if (execBlock(*loop.body, frame)) {
@@ -724,10 +707,8 @@ class Interp {
       }
     }
     iters = ordinal;
-    if (instrument) opt_.elpd->loopExit(&loop);
-    if (race_instr) opt_.race->loopExit(&loop);
-    if (opt_.elpd) elpd_active_ = prev_active;
-    if (opt_.race) race_active_ = prev_race;
+    if (shadowed) opt_.race->loopExit(&loop);
+    if (opt_.race) shadowing_ = prev_shadowing;
     return returned;
   }
 
@@ -1237,8 +1218,7 @@ class Interp {
   std::unordered_map<const ForStmt*, LoopCost> loop_cost_;
   std::mutex sink_mu_;
   bool in_parallel_ = false;
-  bool elpd_active_ = false;
-  bool race_active_ = false;
+  bool shadowing_ = false;
   double parallel_wall_ = 0;
   double parallel_simulated_ = 0;
 };

@@ -13,8 +13,9 @@
 //                         to the parallel or sequential version
 //                         (two-version loops); privatization, reductions
 //                         and last-value copy-out are honored;
-//  * instrumented       — sequential + ELPD shadow marking for a chosen
-//                         set of candidate loops.
+//  * instrumented       — sequential + shadow-memory marking by one
+//                         RaceOracle: its plan-free loops are ELPD's
+//                         candidates, its planned loops the race check's.
 // Per-loop wall-clock profiling (coverage/granularity for Table 3) can be
 // enabled in any mode.
 #pragma once
@@ -27,7 +28,6 @@
 
 #include "dataflow/loop_plan.h"
 #include "lang/ast.h"
-#include "runtime/elpd.h"
 #include "runtime/thread_pool.h"
 
 namespace padfa {
@@ -137,11 +137,10 @@ struct InterpOptions {
   /// Null: fully sequential. Otherwise loops run parallel per plan.
   const AnalysisResult* plans = nullptr;
   unsigned num_threads = 1;
-  /// Non-null: ELPD instrumentation (forces sequential execution).
-  ElpdCollector* elpd = nullptr;
-  /// Non-null: dynamic race-oracle instrumentation (forces sequential
-  /// execution; the oracle decides which loops to shadow from its
-  /// AnalysisResult, arming RuntimeTest loops only when the test passes).
+  /// Non-null: shadow-memory instrumentation (forces sequential
+  /// execution). The engine decides which loops to shadow: ELPD's
+  /// plan-free candidates on every invocation, planned RuntimeTest loops
+  /// only when the test passes.
   RaceOracle* race = nullptr;
   /// Record per-loop timing.
   bool profile = false;

@@ -9,16 +9,20 @@
 // on} × pool sizes {1, 2, 8} — deliberately *without* clearing the global
 // cache between configurations, so later runs also exercise warm-cache
 // determinism — and compares a full structural signature of every
-// program's plans.
+// program's plans. A second test holds the cache's hit rate to the
+// committed trajectory point.
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <future>
+#include <sstream>
 
 #include "corpus/corpus.h"
 #include "driver/padfa.h"
 #include "driver/plan_signature.h"
 #include "presburger/feasibility_cache.h"
 #include "runtime/thread_pool.h"
+#include "support/json.h"
 #include "support/perf_stats.h"
 
 namespace padfa {
@@ -82,6 +86,44 @@ TEST(CacheCoherence, PlansIdenticalAcrossCachesAndThreads) {
   // permanently-missing cache would make this whole test vacuous.
   EXPECT_GT(PerfStats::instance().feasibility.hits.load(), 0u);
   EXPECT_GT(PerfStats::instance().feasibility.inserts.load(), 0u);
+}
+
+// Hit-rate tripwire: the feasibility hit rate is a workload property, not
+// a machine property, so one serial predicated pass over the corpus from
+// a cold cache must not fall more than 5 points below the committed
+// trajectory point (bench/trajectory/BENCH_analysis_time.json, written by
+// `fig_analysis_time --json` from the same pass). A drop means something
+// defeated the cache: a key canonicalization regression, a cache bypass,
+// a clear at the wrong time. Wall times are not compared.
+TEST(CacheCoherence, FeasibilityHitRateHoldsCommittedPoint) {
+  std::ifstream in(BENCH_TRAJECTORY_DIR "/BENCH_analysis_time.json");
+  ASSERT_TRUE(in) << "cannot read " BENCH_TRAJECTORY_DIR;
+  std::stringstream text;
+  text << in.rdbuf();
+  JsonValue point;
+  std::string err;
+  ASSERT_TRUE(parseJson(text.str(), point, err)) << err;
+  const double committed =
+      point.get("cache").get("feasibility").get("hit_rate").asNumber();
+  ASSERT_GT(committed, 0.0);
+
+  std::vector<std::unique_ptr<Program>> programs;
+  for (const CorpusEntry& e : corpus()) {
+    DiagEngine diags;
+    auto p = parseProgram(instantiate(e), diags);
+    ASSERT_TRUE(p && analyze(*p, diags)) << e.name << ": " << diags.dump();
+    programs.push_back(std::move(p));
+  }
+  setCachesEnabled(true);
+  pb::FeasibilityCache::global().clear();
+  PerfStats::instance().resetAll();
+  for (auto& p : programs) analyzeProgram(*p, AnalysisConfig::predicated());
+  const double fresh = PerfStats::instance().feasibility.hitRate();
+  clearCachesEnabledOverride();
+  const double tolerance = 0.05;
+  EXPECT_GE(fresh, committed - tolerance)
+      << "feasibility hit rate: committed " << committed << ", fresh "
+      << fresh;
 }
 
 // Same-pool runOnAll re-entry is a programming error that used to

@@ -1,5 +1,6 @@
 // Golden per-loop classification for the entire corpus: a regression
-// surface that pins down exactly which loop each system parallelizes.
+// surface that pins down exactly which loop each system parallelizes,
+// and which candidate loops ELPD finds parallel.
 // Any analysis change that silently alters a decision anywhere in the
 // 30-program corpus fails here with a precise loop id.
 //
@@ -269,6 +270,78 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(GoldenPlan, CoversWholeCorpus) {
   ASSERT_EQ(golden().size(), corpus().size());
+}
+
+// ELPD, the paper's yardstick, on every candidate loop of the corpus: one
+// `<program> <mfc elpd line>` per candidate, in corpus order. Regenerate
+// by prefixing each corpus program's `mfc elpd` output with its name.
+const char* kElpdGolden = R"(su2cor main/L8          privatizable
+hydro2d main/L8          independent
+mgrid main/L19         not parallel (cross-iteration flow)
+applu main/L9          independent
+applu main/L10         not parallel (cross-iteration flow)
+apsi main/L8          independent
+fpppp main/L8          not parallel (cross-iteration flow)
+fpppp main/L9          not parallel (cross-iteration flow)
+wave5 main/L8          independent
+applu_nas main/L9          not parallel (cross-iteration flow)
+applu_nas main/L10         not parallel (cross-iteration flow)
+appsp main/L22         privatizable
+buk main/L9          independent
+buk main/L10         independent
+cgm main/L13         independent
+mgrid_nas main/L13         privatizable
+bdna main/L14         not parallel (cross-iteration flow)
+dyfesm main/L17         independent
+flo52 main/L16         not parallel (cross-iteration flow)
+mdg main/L8          privatizable
+ocean main/L8          independent
+qcd main/L9          independent
+spec77 main/L14         not parallel (cross-iteration flow)
+track main/L9          independent
+trfd main/L8          privatizable
+sor_pipe main/L6          not parallel (cross-iteration flow)
+lin_rec4 main/L6          not parallel (cross-iteration flow)
+wavefront_sync main/L7          not parallel (cross-iteration flow)
+)";
+
+TEST(GoldenElpd, CandidateVerdictsMatchGolden) {
+  std::string actual;
+  for (const CorpusEntry& e : corpus()) {
+    DiagEngine diags;
+    auto cp = compileSource(instantiate(e), diags);
+    ASSERT_TRUE(cp.has_value()) << e.name << ": " << diags.dump();
+    std::string report = renderElpdReport(*cp);
+    for (size_t at = 0, eol; at < report.size(); at = eol + 1) {
+      eol = report.find('\n', at);
+      actual += e.name + " " + report.substr(at, eol - at + 1);
+    }
+  }
+  EXPECT_EQ(actual, kElpdGolden);
+}
+
+// The paper's headline by Table 2's rule: predicated analysis recovers
+// (parallelizes at compile time or under a run-time test) more than 40%
+// of the candidates ELPD finds parallel.
+TEST(GoldenElpd, PredicatedRecoversOverFortyPercentOfElpdParallel) {
+  int elpd_par = 0, recovered = 0;
+  for (const CorpusEntry& e : corpus()) {
+    DiagEngine diags;
+    auto cp = compileSource(instantiate(e), diags);
+    ASSERT_TRUE(cp.has_value()) << e.name << ": " << diags.dump();
+    RaceOracle elpd = runElpd(*cp);
+    for (const LoopNode* node : cp->loops.allLoops()) {
+      if (!isCandidate(*cp, node->loop)) continue;
+      if (elpd.verdict(node->loop).parallelizable()) ++elpd_par;
+      const LoopPlan* pp = cp->pred.planFor(node->loop);
+      if (pp && (pp->status == LoopStatus::Parallel ||
+                 pp->status == LoopStatus::RuntimeTest))
+        ++recovered;
+    }
+  }
+  ASSERT_GT(elpd_par, 0);
+  EXPECT_GE(recovered, 0.40 * elpd_par)
+      << recovered << " of " << elpd_par << " ELPD-parallel candidates";
 }
 
 }  // namespace

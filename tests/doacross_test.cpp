@@ -356,7 +356,7 @@ TEST(DoacrossOracle, CleanOnExecutedDoacrossLoops) {
     opt.race = &oracle;
     execute(*cp.program, opt);
     EXPECT_EQ(oracle.violationCount(), 0u)
-        << name << ":\n" << oracle.report(cp.program->interner);
+        << name << ":\n" << oracle.report();
     bool saw_doacross = false;
     for (const auto& v : oracle.verdicts())
       if (v.status == LoopStatus::Doacross && v.executed) saw_doacross = true;
@@ -378,7 +378,7 @@ TEST(DoacrossOracle, CatchesForgedDistance) {
   opt.race = &oracle;
   execute(*cp.program, opt);
   EXPECT_GE(oracle.violationCount(), 1u)
-      << oracle.report(cp.program->interner);
+      << oracle.report();
 }
 
 // ----------------------------------------------------- execution ----

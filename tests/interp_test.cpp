@@ -3,6 +3,7 @@
 // instrumentation verdicts, and runtime fault detection.
 #include <gtest/gtest.h>
 
+#include "audit/race_oracle.h"
 #include "dataflow/analysis.h"
 #include "interp/interp.h"
 #include "lang/parser.h"
@@ -317,7 +318,7 @@ proc main() {
 
 struct ElpdRun {
   Built b;
-  ElpdCollector collector;
+  RaceOracle collector;
   const ForStmt* loop = nullptr;
 };
 
@@ -329,7 +330,7 @@ ElpdRun elpdOn(std::string_view src, uint32_t loop_line) {
   EXPECT_NE(r.loop, nullptr);
   r.collector.instrument(r.loop);
   InterpOptions opt;
-  opt.elpd = &r.collector;
+  opt.race = &r.collector;
   execute(*r.b.program, opt);
   return r;
 }
@@ -427,6 +428,48 @@ proc main() {
   EXPECT_TRUE(v.independent());
   auto outer = elpdOn(src, 5);
   EXPECT_TRUE(outer.collector.verdict(outer.loop).flow);
+}
+
+TEST(Elpd, BodyArrayRebornAtFreedAddressStartsFresh) {
+  // Every iteration declares a fresh t, reads its zero t[0], then writes
+  // it: no value crosses iterations. The heap may hand a freed t's
+  // address to a later iteration's t (which sizes do is up to the
+  // allocator); the reborn buffer must not inherit the old marks.
+  const char* tmpl = R"(
+proc main() {
+  real out[64];
+  for i = 0 to 63 {
+    real t[%d];
+    out[i] = t[0];
+    t[0] = noise(i);
+  }
+  sink(out[5]);
+}
+)";
+  for (int n : {1, 2, 4, 8, 16, 64, 1000}) {
+    char buf[512];
+    snprintf(buf, sizeof(buf), tmpl, n);
+    auto r = elpdOn(buf, 4);
+    EXPECT_TRUE(r.collector.verdict(r.loop).independent()) << "t[" << n << "]";
+  }
+}
+
+TEST(Elpd, CalleeArrayRebornAtFreedAddressStartsFresh) {
+  // The same fresh-array pattern, declared in a callee called once per
+  // iteration.
+  auto r = elpdOn(R"(
+proc fill(real o[64], int i) {
+  real t[8];
+  o[i] = t[0];
+  t[0] = noise(i);
+}
+proc main() {
+  real out[64];
+  for i = 0 to 63 { fill(out, i); }
+  sink(out[5]);
+}
+)", 9);
+  EXPECT_TRUE(r.collector.verdict(r.loop).independent());
 }
 
 }  // namespace

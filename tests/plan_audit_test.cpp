@@ -66,7 +66,7 @@ TEST_P(CorpusAudit, OracleObservesNoViolation) {
   execute(*cp.program, opt);
   EXPECT_EQ(oracle.violationCount(), 0u)
       << e.name << ":\n"
-      << oracle.report(cp.program->interner);
+      << oracle.report();
 }
 
 // Agreement: a loop the auditor certified (Independent / DischargedTest)
@@ -94,7 +94,7 @@ TEST_P(CorpusAudit, AuditorAndOracleAgree) {
       EXPECT_FALSE(it->second)
           << e.name << ": auditor certified " << la.loop->loop_id
           << " but the oracle saw a violation:\n"
-          << oracle.report(cp.program->interner);
+          << oracle.report();
     }
     if (it->second) {
       EXPECT_EQ(la.verdict, AuditVerdict::Unsound)
@@ -162,7 +162,35 @@ TEST(PlanAuditTeeth, OracleCatchesFalsifiedPlan) {
   opt.race = &oracle;
   execute(*cp.program, opt);
   EXPECT_GE(oracle.violationCount(), 1u)
-      << oracle.report(cp.program->interner);
+      << oracle.report();
+}
+
+// A Parallel inner loop re-entered by a sequential outer loop: each
+// invocation touches one element per iteration, but every invocation
+// shifts the elements down by one. Judged against the previous
+// invocation's marks, iteration j would seem to read what iteration
+// j - 1 wrote; judged on its own, every invocation is clean.
+TEST(Oracle, ReentryJudgesEachInvocationAlone) {
+  CompiledProgram cp = compile(R"(
+proc main() {
+  real a[80];
+  for k = 0 to 7 {
+    for j = 0 to 63 { a[j + 8 - k] = a[j + 8 - k] + noise(j); }
+  }
+  sink(a[5]);
+}
+)");
+  RaceOracle oracle(*cp.program, cp.pred);
+  InterpOptions opt;
+  opt.plans = &cp.pred;
+  opt.race = &oracle;
+  execute(*cp.program, opt);
+  std::vector<RaceOracle::LoopVerdict> verdicts = oracle.verdicts();
+  ASSERT_EQ(verdicts.size(), 1u) << oracle.report();
+  EXPECT_EQ(verdicts[0].loop->loc.line, 5u);
+  EXPECT_EQ(verdicts[0].invocations, 8u);
+  EXPECT_TRUE(verdicts[0].executed);
+  EXPECT_EQ(oracle.violationCount(), 0u) << oracle.report();
 }
 
 // Scalar teeth: checkScalars is the only static check that a scalar

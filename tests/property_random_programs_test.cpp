@@ -211,14 +211,14 @@ TEST_P(RandomProgram, CompileTimeParallelNeverRefutedByElpd) {
 
   // Instrument every loop the predicated analysis proves parallel at
   // compile time; ELPD must not observe cross-iteration flow in any.
-  ElpdCollector collector;
+  RaceOracle collector;
   for (const LoopNode* node : cp->loops.allLoops()) {
     const LoopPlan* pp = cp->pred.planFor(node->loop);
     if (pp && pp->status == LoopStatus::Parallel)
       collector.instrument(node->loop);
   }
   InterpOptions opt;
-  opt.elpd = &collector;
+  opt.race = &collector;
   execute(*cp->program, opt);
   for (const LoopNode* node : cp->loops.allLoops()) {
     if (!collector.isInstrumented(node->loop)) continue;

@@ -1,6 +1,6 @@
 // Unit tests for the runtime substrate: thread pool, the block
-// scheduler's claim rule, and the ELPD collector's verdict logic in
-// isolation.
+// scheduler's claim rule, and the shadow-memory engine's ELPD verdict
+// logic in isolation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,7 +8,7 @@
 #include <numeric>
 #include <thread>
 
-#include "runtime/elpd.h"
+#include "audit/race_oracle.h"
 #include "runtime/scheduler.h"
 #include "runtime/thread_pool.h"
 
@@ -176,16 +176,12 @@ TEST(ThreadPool, WorkerFailureRequestsCooperativeCancel) {
   EXPECT_EQ(full_runs.load(), 4);
 }
 
-// ---- ELPD collector in isolation ----
-
-struct FakeLoop {
-  ForStmt loop;
-};
+// ---- ELPD on the shadow-memory engine, in isolation ----
 
 class ElpdUnit : public ::testing::Test {
  protected:
   ForStmt loop_;
-  ElpdCollector c_;
+  RaceOracle c_;
   int buf_[1] = {0};  // identity only
   const void* buffer() const { return buf_; }
 
@@ -279,6 +275,19 @@ TEST_F(ElpdUnit, ReentryJudgesEachInvocationAlone) {
   access(0, 8, true);
   c_.loopExit(&loop_);
   EXPECT_TRUE(c_.verdict(&loop_).flow);
+}
+
+TEST_F(ElpdUnit, BufferRebornAtFreedAddressStartsFresh) {
+  // Iteration 0 writes an element; the buffer dies and the heap hands its
+  // address to a new array, whose element iteration 1 reads: no value
+  // crosses iterations.
+  c_.loopEnter(&loop_);
+  access(0, 5, true);
+  c_.loopIterStart(&loop_, 1);
+  c_.bufferAllocated(buffer());
+  access(1, 5, false);
+  c_.loopExit(&loop_);
+  EXPECT_TRUE(c_.verdict(&loop_).independent());
 }
 
 TEST_F(ElpdUnit, AccessesOutsideInstrumentedLoopIgnored) {

@@ -337,7 +337,7 @@ TEST(VraCorpus, EveryPromotionSurvivesBothVerificationLegs) {
     opt.race = &oracle;
     execute(*cp.program, opt);
     EXPECT_EQ(oracle.violationCount(), 0u)
-        << e.name << ":\n" << oracle.report(cp.program->interner);
+        << e.name << ":\n" << oracle.report();
   }
   EXPECT_GE(promotions, 2u);
 }
@@ -389,7 +389,7 @@ proc main() {
         v.detail.find("promoted run-time test") != std::string::npos)
       saw_promoted_failure = true;
   EXPECT_TRUE(saw_promoted_failure)
-      << oracle.report(cp.program->interner);
+      << oracle.report();
 }
 
 // ----------------------------------------- PADFA_NO_VRA knob --------
